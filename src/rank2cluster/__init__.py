@@ -8,16 +8,15 @@ connecting them is executable and tested.
 """
 
 from .combinat import (
+    ChiTable,
     ClusterContext,
     SPrefix,
-    a_seq,
     euler_form,
     mod_binom,
     s_prefix_extend,
 )
 from .laurent import ONE, X1, X2, InexactDivisionError, LaurentPoly2
 from .recurrence import (
-    ChiTable,
     ExpansionStructureError,
     chi_from_expansion,
     cluster_var_recurrence,
@@ -26,15 +25,14 @@ from .recurrence import (
 from .closedform import (
     chi_formula,
     chi_formula_summands,
+    chi_table_from_formula,
     cluster_var_formula,
     cluster_var_formula_v2,
     enumerate_admissible,
 )
 from .identities import (
     RationalPoly,
-    VPrefix,
     staged_chi_sum,
-    v_prefix_extend,
     vandermonde_sides,
     vanishing_check,
 )
@@ -44,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ClusterContext",
     "SPrefix",
-    "VPrefix",
     "RationalPoly",
     "LaurentPoly2",
     "ChiTable",
@@ -53,16 +50,15 @@ __all__ = [
     "X1",
     "X2",
     "ONE",
-    "a_seq",
     "mod_binom",
     "euler_form",
     "s_prefix_extend",
-    "v_prefix_extend",
     "cluster_var_recurrence",
     "scalar_cluster_value",
     "chi_from_expansion",
     "chi_formula",
     "chi_formula_summands",
+    "chi_table_from_formula",
     "cluster_var_formula",
     "cluster_var_formula_v2",
     "enumerate_admissible",

@@ -2,8 +2,8 @@
 
 Machine-readable output goes to stdout and is byte-stable for a fixed
 invocation and seed; timings and diagnostics go to stderr.  Exit codes:
-0 success or all checks passed, 1 a cross-check or verification failed,
-2 usage error.
+0 success or all checks passed, 1 a cross-check, verification or internal
+invariant failed, 2 usage error.
 """
 from __future__ import annotations
 
@@ -18,13 +18,19 @@ from fractions import Fraction
 from .closedform import (
     chi_formula,
     chi_formula_summands,
+    chi_table_from_formula,
     cluster_var_formula,
     cluster_var_formula_v2,
 )
 from .combinat import ClusterContext
 from .identities import RationalPoly, staged_chi_sum, vandermonde_sides, vanishing_check
 from .laurent import LaurentPoly2
-from .recurrence import chi_from_expansion, cluster_var_recurrence, scalar_cluster_value
+from .recurrence import (
+    ExpansionStructureError,
+    chi_from_expansion,
+    cluster_var_recurrence,
+    scalar_cluster_value,
+)
 
 # default verification grid: parameter -> largest index
 GRID = {2: 12, 3: 8, 4: 7}
@@ -76,6 +82,13 @@ def render_chi_value(c: int, n: int, e1: int, e2: int, value: int, fmt: str) -> 
 # expand / chi commands
 
 
+def _print_compared(text: str, same: bool) -> int:
+    """Print a result and the verdict of its cross-check; the exit code."""
+    print(text)
+    print("MATCH" if same else "MISMATCH")
+    return 0 if same else 1
+
+
 def cmd_expand(args) -> int:
     if args.c < 2:
         raise UsageError("expand requires --c >= 2")
@@ -87,32 +100,13 @@ def cmd_expand(args) -> int:
         poly = cluster_var_formula(ctx, args.n)
     elif args.method == "v2":
         poly = cluster_var_formula_v2(ctx, args.n)
-    elif args.method == "recurrence":
+    else:
         poly = cluster_var_recurrence(ctx, args.n)
-    else:  # both
-        poly = cluster_var_recurrence(ctx, args.n)
-        other = cluster_var_formula(ctx, args.n)
-        print(render_poly(poly, args.format))
-        if poly == other:
-            print("MATCH")
-            return 0
-        print("MISMATCH")
-        return 1
-    print(render_poly(poly, args.format))
+    text = render_poly(poly, args.format)
+    if args.method == "both":
+        return _print_compared(text, poly == cluster_var_formula(ctx, args.n))
+    print(text)
     return 0
-
-
-def _table_via_formula(ctx: ClusterContext, n: int):
-    from .recurrence import ChiTable
-
-    an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-    entries = {}
-    for e1 in range(an1 + 1):
-        for e2 in range(an2 + 1):
-            v = chi_formula(ctx, n, e1, e2)
-            if v:
-                entries[(e1, e2)] = v
-    return ChiTable(ctx.c, n, (an1, an2), entries)
 
 
 def cmd_chi(args) -> int:
@@ -123,41 +117,24 @@ def cmd_chi(args) -> int:
     if (args.e1 is None) != (args.e2 is None):
         raise UsageError("--e1 and --e2 must be given together")
     ctx = ClusterContext(args.c)
-    single = args.e1 is not None
+    n, e1, e2 = args.n, args.e1, args.e2
+    single = e1 is not None
 
-    if args.method in ("recurrence", "both"):
-        table = chi_from_expansion(ctx, args.n)
-    if single:
-        if args.method == "formula":
-            value = chi_formula(ctx, args.n, args.e1, args.e2)
-        elif args.method == "recurrence":
-            value = table.chi(args.e1, args.e2)
-        else:  # both
-            value = table.chi(args.e1, args.e2)
-            formula_value = chi_formula(ctx, args.n, args.e1, args.e2)
-        print(render_chi_value(args.c, args.n, args.e1, args.e2, value, args.format))
-        if args.method == "both":
-            if value == formula_value:
-                print("MATCH")
-                return 0
-            print("MISMATCH")
-            return 1
-        return 0
+    def by_formula():
+        return chi_formula(ctx, n, e1, e2) if single else chi_table_from_formula(ctx, n)
 
     if args.method == "formula":
-        out = _table_via_formula(ctx, args.n)
-    elif args.method == "recurrence":
-        out = table
-    else:  # both
-        out = table
-        other = _table_via_formula(ctx, args.n)
-        print(render_chi_table(out, args.format))
-        if out.entries == other.entries:
-            print("MATCH")
-            return 0
-        print("MISMATCH")
-        return 1
-    print(render_chi_table(out, args.format))
+        out = by_formula()
+    else:
+        table = chi_from_expansion(ctx, n)
+        out = table.chi(e1, e2) if single else table
+    if single:
+        text = render_chi_value(args.c, n, e1, e2, out, args.format)
+    else:
+        text = render_chi_table(out, args.format)
+    if args.method == "both":
+        return _print_compared(text, out == by_formula())
+    print(text)
     return 0
 
 
@@ -180,11 +157,12 @@ def _check_v2(c: int, n: int, seed: int):
 def _check_chi(c: int, n: int, seed: int):
     ctx = ClusterContext(c)
     table = chi_from_expansion(ctx, n)
+    formula = chi_table_from_formula(ctx, n)
+    if formula != table:
+        cells = table.entries.keys() | formula.entries.keys()
+        e1, e2 = min(k for k in cells if table.chi(*k) != formula.chi(*k))
+        return False, f"cell ({e1},{e2}) disagrees"
     an1, an2 = table.dim_vector
-    for e1 in range(an1 + 1):
-        for e2 in range(an2 + 1):
-            if chi_formula(ctx, n, e1, e2) != table.chi(e1, e2):
-                return False, f"cell ({e1},{e2}) disagrees"
     rng = random.Random(f"{seed}:chi:{c}:{n}")
     done = 0
     while done < 50:
@@ -232,11 +210,9 @@ def _check_nonneg_region(c: int, n: int, seed: int):
         if c * e2 < an3:
             continue
         for e1 in range(an1 + 1):
-            for term in chi_formula_summands(ctx, n, e1, e2):
-                if term < 0:
-                    return False, f"negative summand at ({e1},{e2})"
-            if chi_formula(ctx, n, e1, e2) < 0:
-                return False, f"negative value at ({e1},{e2})"
+            # a cell value is the sum of its summands: nonnegative with them
+            if any(t < 0 for t in chi_formula_summands(ctx, n, e1, e2)):
+                return False, f"negative summand at ({e1},{e2})"
     return True, "values and summands nonnegative for c*e2 >= a_{n-3}"
 
 
@@ -477,6 +453,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, ExpansionStructureError) as exc:
+        # an inexact division or a malformed expansion: an internal invariant failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # exit codes are limited to 0, 1, 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

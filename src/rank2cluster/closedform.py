@@ -22,17 +22,25 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .combinat import ClusterContext, SPrefix, mod_binom, s_prefix_extend
+from .combinat import ChiTable, ClusterContext, SPrefix, mod_binom, s_prefix_extend
 from .laurent import LaurentPoly2
+
+
+def _require(ctx: ClusterContext, n: int) -> None:
+    if ctx.c < 2:
+        raise ValueError(f"requires c >= 2, got c={ctx.c}")
+    if n < 3:
+        raise ValueError(f"requires n >= 3, got {n}")
 
 
 def enumerate_admissible(
     ctx: ClusterContext, n: int, depth: int
-) -> Iterator[tuple[tuple[int, ...], SPrefix]]:
+) -> Iterator[SPrefix]:
     """Depth-first stream of admissible tuples (t_0, ..., t_{depth-1}).
 
-    Level i admits 0 <= t_i <= a_{i+1} - c*s_i, the bound recomputed from
-    the running prefix; a branch whose bound goes negative yields nothing.
+    Each tuple arrives as its SPrefix, entries with partial sums.  Level i
+    admits 0 <= t_i <= a_{i+1} - c*s_i, the bound recomputed from the
+    running prefix; a branch whose bound goes negative yields nothing.
     Requires 0 <= depth <= n - 3.
     """
     if not (0 <= depth <= n - 3):
@@ -40,7 +48,7 @@ def enumerate_admissible(
 
     def rec(prefix: SPrefix, i: int):
         if i == depth:
-            yield (prefix.entries, prefix)
+            yield prefix
             return
         top = ctx.a(i + 1) - ctx.c * prefix.s_values[i]
         for t in range(top + 1):
@@ -57,11 +65,11 @@ def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]
         return cached
     c = ctx.c
     out = []
-    for entries, prefix in enumerate_admissible(ctx, depth + 3, depth):
-        prod = 1
-        for i, t in enumerate(entries):
-            prod *= mod_binom(ctx.a(i + 1) - c * prefix.s_values[i], t)
+    for prefix in enumerate_admissible(ctx, depth + 3, depth):
         sv = prefix.s_values
+        prod = 1
+        for i, t in enumerate(prefix.entries):
+            prod *= mod_binom(ctx.a(i + 1) - c * sv[i], t)
         out.append((prod, sv[depth], sv[depth - 1] if depth >= 1 else 0))
     result = tuple(out)
     with ctx._lock:
@@ -69,46 +77,8 @@ def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]
     return result
 
 
-def _chi_sum(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
-    """Cell value at (e1, e2) for any c >= 1; callers validate the rest."""
-    c = ctx.c
-    an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
-    if e2 * an1 - e1 * an2 < 0:
-        return 0
-    tlast = -an3 + c * e2
-    total = 0
-    for prod, s_last, s_prev in _leaves(ctx, n - 3):
-        top = an2 - c * s_last
-        bot = top - e2 + s_prev
-        if bot < 0 or bot > top:
-            continue
-        lb = mod_binom(tlast, tlast - e1 + s_last)
-        if lb:
-            total += prod * mod_binom(top, bot) * lb
-    return total
-
-
-def chi_formula(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
-    """Euler characteristic of the (e1, e2) cell by the constrained sum.
-
-    Defined for arbitrary integers e1, e2; cells outside the dimension box
-    or outside the support inequality give 0.
-    """
-    if ctx.c < 2:
-        raise ValueError(f"requires c >= 2, got c={ctx.c}")
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
-    return _chi_sum(ctx, n, e1, e2)
-
-
-def chi_formula_summands(
-    ctx: ClusterContext, n: int, e1: int, e2: int
-) -> Iterator[int]:
-    """Individual tuple contributions to chi_formula, zeros omitted."""
-    if ctx.c < 2:
-        raise ValueError(f"requires c >= 2, got c={ctx.c}")
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
+def _chi_terms(ctx: ClusterContext, n: int, e1: int, e2: int) -> Iterator[int]:
+    """Nonzero tuple contributions to the (e1, e2) cell, any c >= 1; unvalidated."""
     c = ctx.c
     an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
     if e2 * an1 - e1 * an2 < 0:
@@ -122,6 +92,42 @@ def chi_formula_summands(
         lb = mod_binom(tlast, tlast - e1 + s_last)
         if lb:
             yield prod * mod_binom(top, bot) * lb
+
+
+def _chi_sum(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
+    """Cell value at (e1, e2) for any c >= 1; callers validate the rest."""
+    return sum(_chi_terms(ctx, n, e1, e2))
+
+
+def chi_formula(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
+    """Euler characteristic of the (e1, e2) cell by the constrained sum.
+
+    Defined for arbitrary integers e1, e2; cells outside the dimension box
+    or outside the support inequality give 0.
+    """
+    _require(ctx, n)
+    return _chi_sum(ctx, n, e1, e2)
+
+
+def chi_formula_summands(
+    ctx: ClusterContext, n: int, e1: int, e2: int
+) -> Iterator[int]:
+    """Individual tuple contributions to chi_formula, zeros omitted."""
+    _require(ctx, n)
+    return _chi_terms(ctx, n, e1, e2)
+
+
+def chi_table_from_formula(ctx: ClusterContext, n: int) -> ChiTable:
+    """Characteristic table of x_n, one chi_formula call per box cell."""
+    _require(ctx, n)
+    an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
+    entries = {}
+    for e1 in range(an1 + 1):
+        for e2 in range(an2 + 1):
+            v = chi_formula(ctx, n, e1, e2)
+            if v:
+                entries[(e1, e2)] = v
+    return ChiTable(ctx.c, n, (an1, an2), entries)
 
 
 def _e1_upper(ctx: ClusterContext, n: int, e2: int, s_last: int) -> int:
@@ -139,10 +145,7 @@ def cluster_var_formula(ctx: ClusterContext, n: int) -> LaurentPoly2:
     Tuples are enumerated once; each tuple scatters into the cells (e1, e2)
     admitted by its window.  Exactly equal to the recurrence route.
     """
-    if ctx.c < 2:
-        raise ValueError(f"requires c >= 2, got c={ctx.c}")
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
+    _require(ctx, n)
     c = ctx.c
     an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
     cells: dict[tuple[int, int], int] = {}
@@ -180,20 +183,25 @@ def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
     sums s_{n-2}, s_{n-1}.  Term-for-term equality with
     cluster_var_formula is the change of variables made executable.
     """
-    if ctx.c < 2:
-        raise ValueError(f"requires c >= 2, got c={ctx.c}")
-    if n < 3:
-        raise ValueError(f"requires n >= 3, got {n}")
+    _require(ctx, n)
     c = ctx.c
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     cells: dict[tuple[int, int], int] = {}
+
+    def broken(e1, e2, what: str) -> ArithmeticError:
+        return ArithmeticError(
+            f"change of variables fails at (c, n, e1, e2) = ({c}, {n}, {e1}, {e2}): {what}"
+        )
+
     for prod, s_last, s_prev in _leaves(ctx, n - 3):
         top = an2 - c * s_last
         for e2 in range(s_prev, top + s_prev + 1):
             t_mid = an2 - e2 - c * s_last + s_prev
-            assert 0 <= t_mid <= top
+            if not 0 <= t_mid <= top:
+                raise broken("any", e2, f"t_(n-3) = {t_mid} outside [0, {top}]")
             s_n2 = c * s_last - s_prev + t_mid
-            assert s_n2 == an2 - e2
+            if s_n2 != an2 - e2:
+                raise broken("any", e2, f"s_(n-2) = {s_n2} != a_(n-2) - e2")
             f_mid = mod_binom(top, t_mid)
             if not f_mid:
                 continue
@@ -201,8 +209,10 @@ def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
             for e1 in range(s_last, _e1_upper(ctx, n, e2, s_last) + 1):
                 t_end = (an1 - e1) - c * (an2 - e2) + s_last
                 s_n1 = c * s_n2 - s_last + t_end
-                assert s_n1 == an1 - e1
-                assert s_n1 * an2 - s_n2 * an1 >= 0
+                if s_n1 != an1 - e1:
+                    raise broken(e1, e2, f"s_(n-1) = {s_n1} != a_(n-1) - e1")
+                if s_n1 * an2 - s_n2 * an1 < 0:
+                    raise broken(e1, e2, "support inequality violated")
                 f_end = mod_binom(an1 - c * s_n2, t_end)
                 if f_end:
                     k = (c * s_n2, c * (an1 - s_n1))

@@ -4,7 +4,8 @@ Everything downstream (both expansion routes, the characteristic tables,
 the identity checks) is built from three ingredients defined here: the
 denominator sequence attached to the parameter c, a binomial coefficient
 extended to arbitrary integer arguments, and running weighted sums of
-tuple entries against that sequence.
+tuple entries against that sequence.  The characteristic table type that
+both routes fill lives here too, so neither route imports the other.
 """
 from __future__ import annotations
 
@@ -65,11 +66,6 @@ class ClusterContext:
         return f"ClusterContext(c={self.c})"
 
 
-def a_seq(ctx: ClusterContext, n: int) -> int:
-    """Value a_n of the context's sequence (a_0 = -1 by backward extension)."""
-    return ctx.a(n)
-
-
 def euler_form(ctx: ClusterContext, d: tuple[int, int], f: tuple[int, int]) -> int:
     """Bilinear form <d, f> = d1*f1 + d2*f2 - c*d1*f2 on dimension pairs."""
     return d[0] * f[0] + d[1] * f[1] - ctx.c * d[0] * f[1]
@@ -103,3 +99,37 @@ def s_prefix_extend(ctx: ClusterContext, prefix: SPrefix, t_next: int) -> SPrefi
     s_prev2 = prefix.s_values[-2] if len(prefix.s_values) >= 2 else 0
     s_new = ctx.c * s_prev - s_prev2 + t_next
     return SPrefix(prefix.entries + (t_next,), prefix.s_values + (s_new,))
+
+
+@dataclass(frozen=True)
+class ChiTable:
+    """Euler characteristics chi(e1, e2) for one (c, n), zero entries omitted.
+
+    dim_vector is (a_{n-1}, a_{n-2}); every stored key lies in the box
+    0 <= e1 <= a_{n-1}, 0 <= e2 <= a_{n-2}.
+    """
+
+    c: int
+    n: int
+    dim_vector: tuple[int, int]
+    entries: dict
+
+    def chi(self, e1: int, e2: int) -> int:
+        return self.entries.get((e1, e2), 0)
+
+    def items(self) -> list[tuple[tuple[int, int], int]]:
+        return sorted(self.entries.items())
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+    def to_json_obj(self) -> dict:
+        return {
+            "c": self.c,
+            "n": self.n,
+            "dim": list(self.dim_vector),
+            "chi": [
+                {"e1": e1, "e2": e2, "value": str(v)}
+                for (e1, e2), v in self.items()
+            ],
+        }

@@ -25,35 +25,6 @@ from .combinat import ClusterContext, mod_binom
 
 
 @dataclass(frozen=True)
-class VPrefix:
-    """Weight entries w_1..w_k with partial sums v_1..v_{k+1}.
-
-    v_i sums a_{i-j+1}*w_j over 1 <= j < i, equivalently the recurrence
-    v_i = c*v_{i-1} - v_{i-2} + w_{i-1} with v_i = 0 for i <= 1.
-    """
-
-    entries: tuple[int, ...]
-    v_values: tuple[int, ...]
-
-    @classmethod
-    def empty(cls) -> "VPrefix":
-        return cls((), (0,))
-
-    def v(self, i: int) -> int:
-        if i <= 1:
-            return 0
-        return self.v_values[i - 1]
-
-
-def v_prefix_extend(ctx: ClusterContext, prefix: VPrefix, w_next: int) -> VPrefix:
-    """Append one weight entry and the next partial sum."""
-    v_prev = prefix.v_values[-1]
-    v_prev2 = prefix.v_values[-2] if len(prefix.v_values) >= 2 else 0
-    v_new = ctx.c * v_prev - v_prev2 + w_next
-    return VPrefix(prefix.entries + (w_next,), prefix.v_values + (v_new,))
-
-
-@dataclass(frozen=True)
 class RationalPoly:
     """Univariate polynomial with exact rational coefficients, ascending."""
 

@@ -5,17 +5,13 @@ Values are immutable once constructed, stored as a map from exponent pairs
 is no floating point anywhere.  Multiplication switches to a packed
 representation for large nonnegative operands, where each x1-row of the
 support lattice is encoded as one big integer so the coefficient work runs
-inside the integer multiply (gmpy2 is used for that when available).
+inside the integer multiply.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pure-Python fallback, same results
-    _mpz = None
+from operator import index
 
 # switch to packed multiplication above this many coefficient products
 _PACKED_MUL_THRESHOLD = 10_000
@@ -39,11 +35,13 @@ class LaurentPoly2:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        """Exponents and coefficients must be integers (TypeError otherwise)."""
         clean = {}
         if terms:
             for (d1, d2), v in dict(terms).items():
+                key, v = (index(d1), index(d2)), index(v)
                 if v:
-                    clean[(int(d1), int(d2))] = int(v)
+                    clean[key] = v
         self._terms = clean
 
     # -- construction helpers -------------------------------------------------
@@ -376,13 +374,12 @@ def _mul_packed(p: dict, q: dict) -> dict:
             for cix, v in cols.items():
                 nb = (v.bit_length() + 7) // 8
                 buf[cix * bpb : cix * bpb + nb] = v.to_bytes(nb, "little")
-            val = int.from_bytes(buf, "little")
-            packed[r] = _mpz(val) if _mpz is not None else val
+            packed[r] = int.from_bytes(buf, "little")
         return packed
 
     prow = pack_rows(p, p1lo, p2lo)
     qrow = pack_rows(q, q1lo, q2lo)
-    acc: dict[int, object] = {}
+    acc: dict[int, int] = {}
     for i, a in prow.items():
         for j, b in qrow.items():
             k = i + j
@@ -393,7 +390,6 @@ def _mul_packed(p: dict, q: dict) -> dict:
     base1 = p1lo + q1lo
     base2 = p2lo + q2lo
     for r, big in acc.items():
-        big = int(big)
         raw = big.to_bytes((big.bit_length() + 7) // 8 + bpb, "little")
         for blk in range(len(raw) // bpb):
             v = int.from_bytes(raw[blk * bpb : (blk + 1) * bpb], "little")

@@ -9,9 +9,8 @@ exponent coordinate change (d1, d2) -> (e1, e2).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
-from .combinat import ClusterContext
+from .combinat import ChiTable, ClusterContext
 from .laurent import ONE, X1, X2, LaurentPoly2
 
 
@@ -61,40 +60,6 @@ def scalar_cluster_value(c: int, n: int) -> int:
             raise ArithmeticError("scalar recurrence produced a non-integer")
         prev, cur = cur, q
     return cur
-
-
-@dataclass(frozen=True)
-class ChiTable:
-    """Euler characteristics chi(e1, e2) for one (c, n), zero entries omitted.
-
-    dim_vector is (a_{n-1}, a_{n-2}); every stored key lies in the box
-    0 <= e1 <= a_{n-1}, 0 <= e2 <= a_{n-2}.
-    """
-
-    c: int
-    n: int
-    dim_vector: tuple[int, int]
-    entries: dict
-
-    def chi(self, e1: int, e2: int) -> int:
-        return self.entries.get((e1, e2), 0)
-
-    def items(self) -> list[tuple[tuple[int, int], int]]:
-        return sorted(self.entries.items())
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "c": self.c,
-            "n": self.n,
-            "dim": list(self.dim_vector),
-            "chi": [
-                {"e1": e1, "e2": e2, "value": str(v)}
-                for (e1, e2), v in self.items()
-            ],
-        }
 
 
 def chi_from_expansion(ctx: ClusterContext, n: int) -> ChiTable:

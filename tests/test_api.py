@@ -1,0 +1,44 @@
+"""Contract of the public surface: exported names, traced layers, no asserts."""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import rank2cluster
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "rank2cluster"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in rank2cluster.__all__ if not hasattr(rank2cluster, name)]
+    assert missing == []
+
+
+def test_every_traced_layer_exists():
+    # the benchmark's tracer wraps these names from outside; a rename breaks --trace 1
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _span, modname, attr, kind, _measure in tracer.LAYERS:
+        mod = importlib.import_module(f"rank2cluster.{modname}")
+        if kind == "method":
+            cls_name, meth = attr.split(".")
+            found = meth in vars(getattr(mod, cls_name, object))
+        else:
+            found = callable(getattr(mod, attr, None))
+        if not found:
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
+
+
+def test_no_assert_statements_in_package():
+    # asserts vanish under python -O; invariants must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

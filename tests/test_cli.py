@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
+from rank2cluster import cli
 from rank2cluster.cli import main
+from rank2cluster.laurent import ONE, InexactDivisionError
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +105,17 @@ def test_verify_vandermonde_suite(capsys):
     )
     assert code == 0
     assert "PASS vandermonde" in out
+
+
+def test_failed_internal_invariant_exits_1(capsys, monkeypatch):
+    def inexact(ctx, n):
+        raise InexactDivisionError("inexact quotient", ONE)
+
+    monkeypatch.setattr(cli, "cluster_var_recurrence", inexact)
+    code, out, err = run_cli(capsys, "expand", "--c", "2", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert "inexact quotient" in err
 
 
 def test_verify_usage_error_exit_2(capsys):

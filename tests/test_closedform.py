@@ -6,6 +6,7 @@ import pytest
 from rank2cluster.closedform import (
     chi_formula,
     chi_formula_summands,
+    chi_table_from_formula,
     cluster_var_formula,
     cluster_var_formula_v2,
     enumerate_admissible,
@@ -18,10 +19,10 @@ from rank2cluster.recurrence import chi_from_expansion, cluster_var_recurrence
 class TestEnumerateAdmissible:
     def test_depth_one_single_tuple(self):
         got = list(enumerate_admissible(ClusterContext(2), 4, 1))
-        assert [t for t, _ in got] == [(0,)]
+        assert [p.entries for p in got] == [(0,)]
 
     def test_depth_two_bound_unrolls(self):
-        got = [t for t, _ in enumerate_admissible(ClusterContext(2), 5, 2)]
+        got = [p.entries for p in enumerate_admissible(ClusterContext(2), 5, 2)]
         assert got == [(0, 0), (0, 1)]
 
     def test_count_matches_unpruned_box_scan(self):
@@ -49,15 +50,15 @@ class TestEnumerateAdmissible:
         # the prefix (0, 1, 0) reaches bound a_4 - 2*s_3 = -1 at level 3;
         # enumeration must drop it silently
         ctx = ClusterContext(2)
-        tuples = [t for t, _ in enumerate_admissible(ctx, 7, 4)]
+        tuples = [p.entries for p in enumerate_admissible(ctx, 7, 4)]
         assert all(not t[:3] == (0, 1, 0) for t in tuples)
         assert len(tuples) == len(set(tuples))
 
     def test_level_bounds_nonnegative_on_stream(self):
         for c, n in ((2, 8), (3, 6)):
             ctx = ClusterContext(c)
-            for entries, prefix in enumerate_admissible(ctx, n, n - 3):
-                for i, t in enumerate(entries):
+            for prefix in enumerate_admissible(ctx, n, n - 3):
+                for i, t in enumerate(prefix.entries):
                     top = ctx.a(i + 1) - c * prefix.s_values[i]
                     assert 0 <= t <= top
 
@@ -84,6 +85,7 @@ class TestChiFormula:
                 for e1 in range(an1 + 1):
                     for e2 in range(an2 + 1):
                         assert chi_formula(ctx, n, e1, e2) == table.chi(e1, e2)
+                assert chi_table_from_formula(ctx, n) == table
 
     def test_out_of_box_is_zero(self):
         rng = random.Random(0)
@@ -150,6 +152,8 @@ class TestChiFormula:
             chi_formula(ClusterContext(1), 4, 0, 0)
         with pytest.raises(ValueError):
             chi_formula(ClusterContext(2), 2, 0, 0)
+        with pytest.raises(ValueError):
+            chi_table_from_formula(ClusterContext(2), 2)
 
 
 class TestClusterVarFormula:

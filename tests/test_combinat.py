@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from rank2cluster.combinat import (
     ClusterContext,
     SPrefix,
-    a_seq,
     euler_form,
     mod_binom,
     s_prefix_extend,
@@ -56,9 +55,9 @@ class TestModBinom:
 
 class TestASeq:
     def test_examples(self):
-        assert a_seq(ClusterContext(2), 6) == 5
-        assert a_seq(ClusterContext(3), 5) == 21
-        assert a_seq(ClusterContext(3), 0) == -1
+        assert ClusterContext(2).a(6) == 5
+        assert ClusterContext(3).a(5) == 21
+        assert ClusterContext(3).a(0) == -1
 
     def test_initial_values(self):
         for c in (1, 2, 3, 4, 5):
@@ -69,7 +68,7 @@ class TestASeq:
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            a_seq(ClusterContext(2), -1)
+            ClusterContext(2).a(-1)
 
     def test_invalid_parameter_rejected(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,7 @@ from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ClusterContext, mod_binom
 from rank2cluster.identities import (
     RationalPoly,
-    VPrefix,
     staged_chi_sum,
-    v_prefix_extend,
     vandermonde_sides,
     vanishing_check,
 )
@@ -74,25 +72,6 @@ class TestRationalPoly:
     def test_trailing_zeros_stripped(self):
         assert RationalPoly.from_coeffs([1, 0, 0]).degree == 0
         assert RationalPoly.from_coeffs([]).degree == -1
-
-
-class TestVPrefix:
-    def test_extend_and_convention(self):
-        ctx = ClusterContext(2)
-        p = VPrefix.empty()
-        assert p.v(1) == 0 and p.v(0) == 0
-        p = v_prefix_extend(ctx, p, 3)
-        assert p.v(2) == 3  # v_2 = w_1
-
-    def test_matches_weighted_sum_definition(self):
-        ctx = ClusterContext(3)
-        entries = (2, 0, 1)
-        p = VPrefix.empty()
-        for w in entries:
-            p = v_prefix_extend(ctx, p, w)
-        for i in range(1, len(entries) + 2):
-            want = sum(ctx.a(i - j + 1) * entries[j - 1] for j in range(1, i))
-            assert p.v(i) == want
 
 
 class TestStagedSums:

@@ -86,6 +86,14 @@ def test_eval_zero_at_negative_exponent_rejected():
     assert (ONE + X1).eval_exact(0, 5) == 1
 
 
+def test_non_integer_terms_rejected():
+    # a float coefficient would be stored as a zero term, a float exponent truncated
+    with pytest.raises(TypeError):
+        LaurentPoly2({(0, 0): 0.5})
+    with pytest.raises(TypeError):
+        LaurentPoly2({(0.7, 0): 1})
+
+
 def test_coeff_and_support():
     p = poly({(0, 0): 1, (0, 2): 2})
     assert p.coeff(0, 2) == 2
@@ -132,18 +140,6 @@ def test_pow_is_repeated_mul(p, k):
     for _ in range(k):
         by_mul = by_mul * p
     assert p**k == by_mul
-
-
-def test_packed_mul_pure_int_fallback(monkeypatch):
-    # identical results with the optional big-integer backend disabled
-    import rank2cluster.laurent as laurent_mod
-
-    rng = random.Random(5)
-    p = {(rng.randint(-30, 30), rng.randint(-30, 30)): rng.randint(1, 10**9) for _ in range(120)}
-    q = {(rng.randint(-30, 30), rng.randint(-30, 30)): rng.randint(1, 10**9) for _ in range(120)}
-    reference = _mul_packed(p, q)
-    monkeypatch.setattr(laurent_mod, "_mpz", None)
-    assert laurent_mod._mul_packed(p, q) == reference
 
 
 def test_packed_mul_matches_naive_above_threshold():
