@@ -188,31 +188,20 @@ def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     cells: dict[tuple[int, int], int] = {}
 
-    def broken(e1, e2, what: str) -> ArithmeticError:
-        return ArithmeticError(
-            f"change of variables fails at (c, n, e1, e2) = ({c}, {n}, {e1}, {e2}): {what}"
-        )
-
     for prod, s_last, s_prev in _leaves(ctx, n - 3):
         top = an2 - c * s_last
         for e2 in range(s_prev, top + s_prev + 1):
             t_mid = an2 - e2 - c * s_last + s_prev
-            if not 0 <= t_mid <= top:
-                raise broken("any", e2, f"t_(n-3) = {t_mid} outside [0, {top}]")
             s_n2 = c * s_last - s_prev + t_mid
-            if s_n2 != an2 - e2:
-                raise broken("any", e2, f"s_(n-2) = {s_n2} != a_(n-2) - e2")
-            f_mid = mod_binom(top, t_mid)
-            if not f_mid:
-                continue
-            pm = prod * f_mid
+            pm = prod * mod_binom(top, t_mid)
             for e1 in range(s_last, _e1_upper(ctx, n, e2, s_last) + 1):
                 t_end = (an1 - e1) - c * (an2 - e2) + s_last
                 s_n1 = c * s_n2 - s_last + t_end
-                if s_n1 != an1 - e1:
-                    raise broken(e1, e2, f"s_(n-1) = {s_n1} != a_(n-1) - e1")
                 if s_n1 * an2 - s_n2 * an1 < 0:
-                    raise broken(e1, e2, "support inequality violated")
+                    raise ArithmeticError(
+                        f"change of variables fails at (c, n, e1, e2) = "
+                        f"({c}, {n}, {e1}, {e2}): support inequality violated"
+                    )
                 f_end = mod_binom(an1 - c * s_n2, t_end)
                 if f_end:
                     k = (c * s_n2, c * (an1 - s_n1))

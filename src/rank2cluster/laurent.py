@@ -2,19 +2,35 @@
 
 Values are immutable once constructed, stored as a map from exponent pairs
 (d1, d2) to nonzero integer coefficients.  All arithmetic is exact; there
-is no floating point anywhere.  Multiplication switches to a packed
-representation for large nonnegative operands, where each x1-row of the
-support lattice is encoded as one big integer so the coefficient work runs
-inside the integer multiply.
+is no floating point anywhere.
+
+Products of large nonnegative operands go through one Kronecker
+substitution: each operand is written as a single decimal number, one
+fixed-width digit block per cell of its gcd-compressed exponent lattice, and
+the two numbers are multiplied once by the stdlib `decimal` module, whose
+libmpdec core uses a number-theoretic transform at these sizes (Harvey,
+arXiv:0712.4046).  The multiply runs in a private `decimal.Context` with
+maximal precision that traps `Inexact` and `Rounded`, so it is exact or
+raises; the caller's thread context is neither read nor changed.  Small or
+signed operands use the schoolbook product.
 """
 from __future__ import annotations
 
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from fractions import Fraction
 from math import gcd
 from operator import index
 
-# switch to packed multiplication above this many coefficient products
-_PACKED_MUL_THRESHOLD = 10_000
+# switch to Kronecker multiplication above this many coefficient products
+_KRONECKER_MUL_THRESHOLD = 10_000
 
 
 class InexactDivisionError(ArithmeticError):
@@ -141,14 +157,20 @@ class LaurentPoly2:
     def __pow__(self, k: int) -> "LaurentPoly2":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = {(0, 0): 1}
+        if not k:
+            return LaurentPoly2.constant(1)
         base = self._terms
+        while not k & 1:
+            base = _mul_terms(base, base)
+            k >>= 1
+        # start from the lowest set bit's power, not from a product with 1
+        result = base
+        k >>= 1
         while k:
+            base = _mul_terms(base, base)
             if k & 1:
                 result = _mul_terms(result, base)
             k >>= 1
-            if k:
-                base = _mul_terms(base, base)
         return LaurentPoly2._raw(result)
 
     # -- exact division ----------------------------------------------------------
@@ -316,9 +338,9 @@ def _x1_exact_div(num: dict, den: dict):
 def _mul_terms(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
-    if len(p) * len(q) >= _PACKED_MUL_THRESHOLD:
+    if len(p) * len(q) >= _KRONECKER_MUL_THRESHOLD:
         if min(p.values()) >= 0 and min(q.values()) >= 0:
-            return _mul_packed(p, q)
+            return _mul_kronecker(p, q)
     if len(p) > len(q):
         p, q = q, p
     out: dict[tuple[int, int], int] = {}
@@ -335,13 +357,18 @@ def _mul_terms(p: dict, q: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _mul_packed(p: dict, q: dict) -> dict:
-    """Multiply nonnegative-coefficient term maps via per-row integer packing.
+def _mul_kronecker(p: dict, q: dict) -> dict:
+    """Multiply nonnegative-coefficient term maps by one Kronecker product.
 
-    Rows (fixed x1-exponent on the common exponent lattice) become single
-    integers with fixed-width coefficient blocks; the row-pair convolution
-    then runs as big-integer multiplication.  Block width is sized so that
-    no accumulated product coefficient can overflow its block.
+    Each operand becomes a single decimal number: cell (i, j) of the
+    gcd-compressed exponent lattice holds its coefficient in a block of k
+    digits at block position i*W + j, with the row width W wide enough that
+    product rows never wrap.  One libmpdec multiply, which switches to a
+    number-theoretic transform for large operands, does the whole
+    convolution, and the product's blocks are read back.  k is chosen so that
+    max(p) * max(q) * min(|p|, |q|) < 10**k, so no accumulated coefficient
+    carries into the next block; the multiply traps Inexact and Rounded, so
+    a precision shortfall raises instead of rounding.
     """
     p1lo = min(d1 for d1, _ in p)
     p2lo = min(d2 for _, d2 in p)
@@ -356,43 +383,75 @@ def _mul_packed(p: dict, q: dict) -> dict:
         g2 = gcd(g2, d2 - q2lo)
     g1 = g1 or 1
     g2 = g2 or 1
-    bits = (
-        max(p.values()).bit_length()
-        + max(q.values()).bit_length()
-        + min(len(p), len(q)).bit_length()
-        + 1
+    pwidth = max(d2 - p2lo for _, d2 in p) // g2
+    qwidth = max(d2 - q2lo for _, d2 in q) // g2
+    width = pwidth + qwidth + 1
+    bound = max(p.values()) * max(q.values()) * min(len(p), len(q))
+    k = bound.bit_length() * 30103 // 100000  # log10(2) rounded down: 10**k <= bound
+    while 10**k <= bound:
+        k += 1
+    zero = "0" * k
+    # a private context: the caller's thread context is never read or changed
+    ctx = Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, traps=[InvalidOperation, Inexact, Rounded]
     )
-    bpb = (bits + 7) // 8  # bytes per coefficient block
 
-    def pack_rows(m, lo1, lo2):
-        rows: dict[int, dict[int, int]] = {}
-        for (d1, d2), v in m.items():
-            rows.setdefault((d1 - lo1) // g1, {})[(d2 - lo2) // g2] = v
-        packed = {}
-        for r, cols in rows.items():
-            buf = bytearray((max(cols) + 1) * bpb)
-            for cix, v in cols.items():
-                nb = (v.bit_length() + 7) // 8
-                buf[cix * bpb : cix * bpb + nb] = v.to_bytes(nb, "little")
-            packed[r] = int.from_bytes(buf, "little")
-        return packed
+    def encode(m, lo1, lo2):
+        cells = {
+            (d1 - lo1) // g1 * width + (d2 - lo2) // g2: v for (d1, d2), v in m.items()
+        }
+        blocks = [zero] * (max(cells) + 1)
+        for pos, v in cells.items():
+            blocks[pos] = _int_to_digits(v).rjust(k, "0")
+        blocks.reverse()  # most significant block first
+        return Decimal("".join(blocks), ctx)
 
-    prow = pack_rows(p, p1lo, p2lo)
-    qrow = pack_rows(q, q1lo, q2lo)
-    acc: dict[int, int] = {}
-    for i, a in prow.items():
-        for j, b in qrow.items():
-            k = i + j
-            prev = acc.get(k)
-            acc[k] = a * b if prev is None else prev + a * b
-
+    a = encode(p, p1lo, p2lo)
+    b = a if p is q else encode(q, q1lo, q2lo)
+    prod = ctx.multiply(a, b)
+    del a, b
+    digits = ctx.to_sci_string(prod)
+    del prod
+    digits = digits.rjust(-(-len(digits) // k) * k, "0")
     out: dict[tuple[int, int], int] = {}
     base1 = p1lo + q1lo
     base2 = p2lo + q2lo
-    for r, big in acc.items():
-        raw = big.to_bytes((big.bit_length() + 7) // 8 + bpb, "little")
-        for blk in range(len(raw) // bpb):
-            v = int.from_bytes(raw[blk * bpb : (blk + 1) * bpb], "little")
-            if v:
-                out[(base1 + r * g1, base2 + blk * g2)] = v
+    for pos, end in enumerate(range(len(digits), 0, -k)):
+        chunk = digits[end - k : end]
+        if chunk != zero:
+            r, col = divmod(pos, width)
+            out[(base1 + r * g1, base2 + col * g2)] = _digits_to_int(chunk)
+    # a carry out of any block would lower the value at x1 = x2 = 1
+    if sum(out.values()) != sum(p.values()) * sum(q.values()):
+        raise ArithmeticError(f"Kronecker product overflowed its {k}-digit blocks")
     return out
+
+
+# int <-> str conversions of at most this many digits are never refused by
+# the interpreter's digit limit (sys.set_int_max_str_digits accepts 0 or >= 640)
+_SAFE_DIGITS = 640
+_SAFE_BASE = 10**_SAFE_DIGITS
+
+
+def _int_to_digits(v: int) -> str:
+    """Decimal digits of v >= 0, for any length."""
+    if v < _SAFE_BASE:
+        return str(v)
+    parts = []
+    while v >= _SAFE_BASE:
+        v, r = divmod(v, _SAFE_BASE)
+        parts.append(str(r).rjust(_SAFE_DIGITS, "0"))
+    parts.append(str(v))
+    parts.reverse()
+    return "".join(parts)
+
+
+def _digits_to_int(digits: str) -> int:
+    """Inverse of _int_to_digits; leading zeros are allowed."""
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    cut = len(digits) % _SAFE_DIGITS or _SAFE_DIGITS
+    v = int(digits[:cut])
+    for i in range(cut, len(digits), _SAFE_DIGITS):
+        v = v * _SAFE_BASE + int(digits[i : i + _SAFE_DIGITS])
+    return v

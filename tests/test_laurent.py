@@ -1,5 +1,8 @@
+import decimal
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,10 @@ from rank2cluster.laurent import (
     X2,
     InexactDivisionError,
     LaurentPoly2,
-    _mul_packed,
+    _KRONECKER_MUL_THRESHOLD,
+    _digits_to_int,
+    _int_to_digits,
+    _mul_kronecker,
     _mul_terms,
 )
 
@@ -142,23 +148,103 @@ def test_pow_is_repeated_mul(p, k):
     assert p**k == by_mul
 
 
-def test_packed_mul_matches_naive_above_threshold():
-    rng = random.Random(0)
-    for trial in range(3):
-        p = {
-            (rng.randint(-40, 40) * 2, rng.randint(-40, 40) * 2): rng.randint(1, 10**12)
-            for _ in range(150)
-        }
-        q = {
-            (rng.randint(-40, 40) * 2, rng.randint(-40, 40) * 2): rng.randint(1, 10**12)
-            for _ in range(150)
-        }
-        assert len(p) * len(q) >= 10_000  # exercises the packed path
-        naive = {}
-        for (a1, a2), u in p.items():
-            for (b1, b2), v in q.items():
-                k = (a1 + b1, a2 + b2)
-                naive[k] = naive.get(k, 0) + u * v
-        naive = {k: v for k, v in naive.items() if v}
-        assert _mul_packed(p, q) == naive
-        assert _mul_terms(p, q) == naive
+def schoolbook(p, q):
+    out = {}
+    for (a1, a2), u in p.items():
+        for (b1, b2), v in q.items():
+            k = (a1 + b1, a2 + b2)
+            out[k] = out.get(k, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
+def random_terms(rng, size, step, span=40):
+    def exponent():
+        return rng.randint(-span, span) * step
+
+    return {(exponent(), exponent()): rng.randint(1, 10**12) for _ in range(size)}
+
+
+@pytest.mark.parametrize("step", [2, 1])
+def test_kronecker_mul_matches_schoolbook_above_threshold(step):
+    # step 2 puts both operands on a gcd-compressed lattice; both steps
+    # reach negative exponents
+    rng = random.Random(step)
+    for _ in range(3):
+        p = random_terms(rng, 150, step)
+        q = random_terms(rng, 150, step)
+        assert len(p) * len(q) >= _KRONECKER_MUL_THRESHOLD
+        expected = schoolbook(p, q)
+        assert _mul_kronecker(p, q) == expected
+        assert _mul_terms(p, q) == expected
+
+
+def test_kronecker_mul_one_term_operand():
+    rng = random.Random(1)
+    q = {(i, -j): rng.randint(1, 10**6) for i in range(100) for j in range(100)}
+    p = {(-3, 5): 7}
+    expected = {(d1 - 3, d2 + 5): 7 * v for (d1, d2), v in q.items()}
+    assert _mul_kronecker(p, q) == expected
+    assert _mul_kronecker(q, p) == expected
+    assert _mul_terms(p, q) == expected
+
+
+def test_kronecker_square_of_one_operand():
+    rng = random.Random(2)
+    p = random_terms(rng, 200, 1)
+    expected = schoolbook(p, p)
+    assert _mul_kronecker(p, p) == expected
+    assert (LaurentPoly2(p) ** 2)._terms == expected
+
+
+def test_kronecker_mul_wider_than_int_str_limit():
+    # str(10**5000) is refused under the interpreter's default digit limit
+    # (4300); the digit blocks must be built and read without it
+    rng = random.Random(3)
+    wide = 10**5000
+    p = {(i, j): wide + rng.randint(0, 10**9) for i in range(3) for j in range(4)}
+    q = {(i, j): 3 * wide + rng.randint(0, 10**9) for i in range(2) for j in (0, 2, 4)}
+    assert _mul_kronecker(p, q) == schoolbook(p, q)
+    v = 7 * 10**9000 + 12345
+    assert _digits_to_int(_int_to_digits(v)) == v
+    assert _digits_to_int("000" + _int_to_digits(v)) == v
+
+
+def test_kronecker_mul_ignores_caller_decimal_context():
+    rng = random.Random(4)
+    p = random_terms(rng, 150, 1)
+    q = random_terms(rng, 150, 1)
+    expected = schoolbook(p, q)
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        caller.clear_traps()
+        caller.clear_flags()
+        assert (LaurentPoly2(p) * LaurentPoly2(q))._terms == expected
+        assert caller.prec == 5
+        assert not any(caller.flags.values())
+        assert not any(caller.traps.values())
+
+
+def test_concurrent_squares_match_serial():
+    # the README states LaurentPoly2 values are safe to share across threads
+    rng = random.Random(5)
+    polys = [LaurentPoly2(random_terms(rng, 150, 1 + i % 2)) for i in range(4)]
+    serial = [p**2 for p in polys]
+    barrier = threading.Barrier(len(polys))
+    results = [None] * len(polys)
+
+    def square(i):
+        barrier.wait(timeout=60)
+        results[i] = polys[i] ** 2
+
+    threads = [threading.Thread(target=square, args=(i,)) for i in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside encode and decode
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
