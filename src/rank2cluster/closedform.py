@@ -1,12 +1,22 @@
 """Closed-form route: constrained-sum expansions and characteristic values.
 
-Both expansion builders enumerate the same admissible tuples once and
-scatter binomial products into exponent cells; they differ in how the two
-trailing factors and the output monomial are expressed.  The first uses
-the cell coordinates (e1, e2) directly, the second routes every factor
-through the substituted tuple entries t_{n-3}, t_{n-2} and their extended
-partial sums, so exact agreement of the two is a nontrivial check of the
-change of variables connecting them.
+The admissible tuples are enumerated once per depth.  A tuple enters every
+sum only through its binomial product and its last two partial sums
+(s_{n-3}, s_{n-4}), so the tuples are summed into classes by those two
+sums (_leaves: 10761 tuples become 514 classes at c=2, n=40).  Each class
+then fixes the middle binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4}) of
+every e2 row it reaches, and the trailing factor depends only on e2 and
+e1 - s_{n-3}.  So one per-row table (_rows) holds, for each e2, the
+middle-weighted class sum A per s_{n-3} value; both the cell values
+(chi_formula) and the expansion (cluster_var_formula) are read from it,
+the expansion by scattering each row along one shared row of trailing
+binomials.
+
+The second expansion builder (cluster_var_formula_v2) does not read that
+table: it routes every factor through the substituted tuple entries
+t_{n-3}, t_{n-2} and their extended partial sums, class by class, so exact
+agreement of the two is a nontrivial check of the change of variables
+connecting them.
 
 A cell value chi(e1, e2) is the same constrained sum restricted to one
 cell.  Its summation conditions are exactly those of the full expansion,
@@ -16,7 +26,7 @@ and vanishes wherever the cell carries no subrepresentations.  (Dropping
 the inequality, or keeping it while dropping the per-tuple window on the
 middle binomial, both produce sums that fail to vanish on scattered
 out-of-support cells; see the repository test suite for the exact
-agreement grid.)
+agreement grid.)  Nothing here is imported from the recurrence route.
 """
 from __future__ import annotations
 
@@ -58,40 +68,89 @@ def enumerate_admissible(
 
 
 def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]:
-    """(binomial product, s_depth, s_{depth-1}) per admissible tuple, cached."""
+    """(weight, s_depth, s_{depth-1}) per class of admissible tuples, cached.
+
+    A tuple enters every sum only through its binomial product and its last
+    two partial sums, so the tuples sharing those two sums form one class,
+    whose weight is the sum of their products (at least 1).
+    """
     key = ("leaves", depth)
     cached = ctx._derived.get(key)
     if cached is not None:
         return cached
     c = ctx.c
-    out = []
+    weights: dict[tuple[int, int], int] = {}
     for prefix in enumerate_admissible(ctx, depth + 3, depth):
         sv = prefix.s_values
         prod = 1
         for i, t in enumerate(prefix.entries):
             prod *= mod_binom(ctx.a(i + 1) - c * sv[i], t)
-        out.append((prod, sv[depth], sv[depth - 1] if depth >= 1 else 0))
-    result = tuple(out)
+        k = (sv[depth], sv[depth - 1] if depth >= 1 else 0)
+        weights[k] = weights.get(k, 0) + prod
+    result = tuple((w, s_last, s_prev) for (s_last, s_prev), w in weights.items())
+    with ctx._lock:
+        ctx._derived[key] = result
+    return result
+
+
+def _binom_step(b: int, t: int, j: int) -> int:
+    """C(t, j+1) from b = C(t, j), j >= 0; exact for every integer t, t < 0 too."""
+    return b * (t - j) // (j + 1)
+
+
+def _rows(ctx: ClusterContext, n: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """e2 -> ((s_last, A), ...) in ascending s_last, cached per n.
+
+    A = sum of weight*C(top, e2 - s_prev) over the classes of
+    _leaves(ctx, n-3) with that s_last, where top = a_{n-2} - c*s_last.
+    Only the pairs some class reaches are kept, so every A is at least 1;
+    a class with top < 0 reaches none.  This is the one table both
+    _chi_terms and cluster_var_formula read.
+    """
+    key = ("rows", n)
+    cached = ctx._derived.get(key)
+    if cached is not None:
+        return cached
+    an2 = ctx.a(n - 2)
+    acc: dict[int, dict[int, int]] = {}
+    for weight, s_last, s_prev in _leaves(ctx, n - 3):
+        top = an2 - ctx.c * s_last
+        b = 1
+        for k in range(top + 1):
+            row = acc.setdefault(s_prev + k, {})
+            row[s_last] = row.get(s_last, 0) + weight * b
+            b = _binom_step(b, top, k)
+    result = {e2: tuple(sorted(row.items())) for e2, row in sorted(acc.items())}
     with ctx._lock:
         ctx._derived[key] = result
     return result
 
 
 def _chi_terms(ctx: ClusterContext, n: int, e1: int, e2: int) -> Iterator[int]:
-    """Nonzero tuple contributions to the (e1, e2) cell, any c >= 1; unvalidated."""
-    c = ctx.c
-    an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
+    """Nonzero contributions to the (e1, e2) cell, one per s_{n-3}; unvalidated.
+
+    Each is A*C(t, e1 - s_last) for a (s_last, A) pair of the e2 row of
+    _rows, with t = c*e2 - a_{n-3}; any c >= 1.  The pairs are visited in
+    descending s_last, so the trailing binomial is computed once and then
+    stepped up in its lower index.
+    """
+    an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     if e2 * an1 - e1 * an2 < 0:
         return
-    tlast = -an3 + c * e2
-    for prod, s_last, s_prev in _leaves(ctx, n - 3):
-        top = an2 - c * s_last
-        bot = top - e2 + s_prev
-        if bot < 0 or bot > top:
+    t = ctx.c * e2 - ctx.a(n - 3)
+    j = -1
+    for s_last, weight in reversed(_rows(ctx, n).get(e2, ())):
+        k = e1 - s_last
+        if k < 0:
             continue
-        lb = mod_binom(tlast, tlast - e1 + s_last)
-        if lb:
-            yield prod * mod_binom(top, bot) * lb
+        if j < 0:
+            j, b = k, mod_binom(t, t - k)
+        while j < k and b:
+            b = _binom_step(b, t, j)
+            j += 1
+        if not b:
+            return  # C(t, k) = 0 only when 0 <= t < k, and k only grows
+        yield weight * b
 
 
 def _chi_sum(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
@@ -112,7 +171,17 @@ def chi_formula(ctx: ClusterContext, n: int, e1: int, e2: int) -> int:
 def chi_formula_summands(
     ctx: ClusterContext, n: int, e1: int, e2: int
 ) -> Iterator[int]:
-    """Individual tuple contributions to chi_formula, zeros omitted."""
+    """Contributions to chi_formula, one per value of s_{n-3}, zeros omitted.
+
+    Each contribution sums the tuple contributions of one s_{n-3} value:
+    A*C(t, e1 - s_{n-3}) with t = c*e2 - a_{n-3}.  They come in descending
+    s_{n-3}.  The sign of a contribution is the sign of every tuple
+    contribution it sums, since a class weight is at least 1, the middle
+    binomial is at least 1 on its window, and the sign comes only from the
+    trailing binomial, which depends only on (e2, e1 - s_{n-3}).  So all
+    contributions to a cell are nonnegative exactly when all its tuple
+    contributions are.
+    """
     _require(ctx, n)
     return _chi_terms(ctx, n, e1, e2)
 
@@ -142,35 +211,35 @@ def _e1_upper(ctx: ClusterContext, n: int, e2: int, s_last: int) -> int:
 def cluster_var_formula(ctx: ClusterContext, n: int) -> LaurentPoly2:
     """x_n assembled cell by cell from the constrained sum.
 
-    Tuples are enumerated once; each tuple scatters into the cells (e1, e2)
-    admitted by its window.  Exactly equal to the recurrence route.
+    Each e2 row of the grouped table scatters its (s_last, A) pairs along
+    one shared row of trailing binomials C(t, j), t = c*e2 - a_{n-3}, into
+    the cells (s_last + j, e2) admitted by the support inequality.  Exactly
+    equal to the recurrence route.
     """
     _require(ctx, n)
     c = ctx.c
     an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
-    cells: dict[tuple[int, int], int] = {}
-    for prod, s_last, s_prev in _leaves(ctx, n - 3):
-        top = an2 - c * s_last
-        for e2 in range(s_prev, top + s_prev + 1):
-            pm = prod * mod_binom(top, top - e2 + s_prev)
-            if not pm:
-                continue
-            tlast = -an3 + c * e2
-            for e1 in range(s_last, _e1_upper(ctx, n, e2, s_last) + 1):
-                lb = mod_binom(tlast, tlast - e1 + s_last)
-                if lb:
-                    k = (e1, e2)
-                    nv = cells.get(k, 0) + pm * lb
-                    if nv:
-                        cells[k] = nv
-                    else:
-                        del cells[k]
-    return LaurentPoly2(
-        {
-            (c * (an2 - e2) - an1, c * e1 - an2): v
-            for (e1, e2), v in cells.items()
-        }
-    )
+    terms: dict[tuple[int, int], int] = {}
+    for e2, row in _rows(ctx, n).items():
+        t = c * e2 - an3
+        # e1 runs over [s_last, _e1_upper], so j = e1 - s_last over [0, span)
+        spans = [(s_last, max(_e1_upper(ctx, n, e2, s_last) - s_last + 1, 0), weight)
+                 for s_last, weight in row]
+        width = max(span for _, span, _ in spans)
+        if t >= 0:
+            width = min(width, t + 1)  # C(t, j) = 0 for j > t
+        binoms = [1] * width
+        for j in range(1, width):
+            binoms[j] = _binom_step(binoms[j - 1], t, j - 1)
+        cells: dict[int, int] = {}
+        for s_last, span, weight in spans:
+            for j, b in enumerate(binoms[:span]):
+                cells[s_last + j] = cells.get(s_last + j, 0) + weight * b
+        d1 = c * (an2 - e2) - an1
+        for e1, v in cells.items():
+            if v:
+                terms[(d1, c * e1 - an2)] = v
+    return LaurentPoly2(terms)
 
 
 def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
@@ -188,12 +257,12 @@ def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     cells: dict[tuple[int, int], int] = {}
 
-    for prod, s_last, s_prev in _leaves(ctx, n - 3):
+    for weight, s_last, s_prev in _leaves(ctx, n - 3):
         top = an2 - c * s_last
         for e2 in range(s_prev, top + s_prev + 1):
             t_mid = an2 - e2 - c * s_last + s_prev
             s_n2 = c * s_last - s_prev + t_mid
-            pm = prod * mod_binom(top, t_mid)
+            pm = weight * mod_binom(top, t_mid)
             for e1 in range(s_last, _e1_upper(ctx, n, e2, s_last) + 1):
                 t_end = (an1 - e1) - c * (an2 - e2) + s_last
                 s_n1 = c * s_n2 - s_last + t_end

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 
 from .combinat import ChiTable, ClusterContext
-from .laurent import ONE, X1, X2, LaurentPoly2
+from .laurent import ONE, X1, X2, InexactDivisionError, LaurentPoly2
 
 
 class ExpansionStructureError(RuntimeError):
@@ -26,7 +26,8 @@ def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
     """x_n computed by iterating the recurrence; memoized per (c, n).
 
     Requires c >= 2 and n >= 1.  Every division along the way must be
-    exact; an InexactDivisionError here would indicate a bug.
+    exact; an InexactDivisionError here would indicate a bug, and it is
+    re-raised naming c and the step k, with the remainder kept.
     """
     if ctx.c < 2:
         raise ValueError(f"cluster variables require c >= 2, got c={ctx.c}")
@@ -36,7 +37,14 @@ def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
         xs = _xvars.setdefault(ctx.c, [None, X1, X2])
         while len(xs) <= n:
             k = len(xs)
-            xs.append((xs[k - 1] ** ctx.c + ONE).exact_div(xs[k - 2]))
+            try:
+                xs.append((xs[k - 1] ** ctx.c + ONE).exact_div(xs[k - 2]))
+            except InexactDivisionError as exc:
+                raise InexactDivisionError(
+                    f"recurrence step k={k} for c={ctx.c}, "
+                    f"x_{k} = (x_{k - 1}^{ctx.c} + 1) / x_{k - 2}: {exc}",
+                    exc.remainder,
+                ) from exc
         return xs[n]
 
 

@@ -42,3 +42,32 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _package_imports(module: str) -> set[str]:
+    """Sibling modules that rank2cluster.<module> imports, in any import form."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base != "rank2cluster" and not base.startswith("rank2cluster."):
+                    continue
+                base = base[len("rank2cluster."):]
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("rank2cluster."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+def test_routes_import_nothing_from_each_other():
+    # the two routes must stay independent for their agreement to mean anything
+    assert "recurrence" not in _package_imports("closedform")
+    assert "closedform" not in _package_imports("recurrence")
+    assert "closedform" not in _package_imports("laurent")

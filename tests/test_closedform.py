@@ -1,9 +1,15 @@
 import itertools
 import random
+import sys
+import threading
+from collections import defaultdict
+from math import comb
 
 import pytest
 
 from rank2cluster.closedform import (
+    _binom_step,
+    _leaves,
     chi_formula,
     chi_formula_summands,
     chi_table_from_formula,
@@ -11,7 +17,7 @@ from rank2cluster.closedform import (
     cluster_var_formula_v2,
     enumerate_admissible,
 )
-from rank2cluster.combinat import ClusterContext, euler_form
+from rank2cluster.combinat import ClusterContext, euler_form, mod_binom
 from rank2cluster.laurent import LaurentPoly2
 from rank2cluster.recurrence import chi_from_expansion, cluster_var_recurrence
 
@@ -67,6 +73,103 @@ class TestEnumerateAdmissible:
             list(enumerate_admissible(ClusterContext(2), 5, 3))
         with pytest.raises(ValueError):
             list(enumerate_admissible(ClusterContext(2), 5, -1))
+
+
+def tuple_leaves(ctx, n):
+    """(product, s_{n-3}, s_{n-4}) per admissible tuple, one entry per tuple."""
+    depth = n - 3
+    out = []
+    for prefix in enumerate_admissible(ctx, n, depth):
+        sv = prefix.s_values
+        prod = 1
+        for i, t in enumerate(prefix.entries):
+            prod *= comb(ctx.a(i + 1) - ctx.c * sv[i], t)
+        out.append((prod, sv[depth], sv[depth - 1] if depth >= 1 else 0))
+    return out
+
+
+def tuple_chi_terms(ctx, n, e1, e2):
+    """(s_{n-3}, contribution) per tuple: the ungrouped per-tuple cell loop."""
+    c = ctx.c
+    an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
+    if e2 * an1 - e1 * an2 < 0:
+        return []
+    tlast = -an3 + c * e2
+    out = []
+    for prod, s_last, s_prev in tuple_leaves(ctx, n):
+        top = an2 - c * s_last
+        bot = top - e2 + s_prev
+        if bot < 0 or bot > top:
+            continue
+        lb = mod_binom(tlast, tlast - e1 + s_last)
+        if lb:
+            out.append((s_last, prod * mod_binom(top, bot) * lb))
+    return out
+
+
+class TestGrouping:
+    @pytest.mark.parametrize("c, n_top", [(2, 10), (3, 8), (4, 7), (5, 7)])
+    def test_classes_sum_tuple_products(self, c, n_top):
+        # c=2 reaches n=7, whose walk prunes the (0, 1, 0) branch
+        for n in range(3, n_top + 1):
+            ctx = ClusterContext(c)
+            want = defaultdict(int)
+            for prod, s_last, s_prev in tuple_leaves(ctx, n):
+                want[(s_last, s_prev)] += prod
+            got = {(s_last, s_prev): w for w, s_last, s_prev in _leaves(ctx, n - 3)}
+            assert len(got) == len(_leaves(ctx, n - 3))
+            assert got == dict(want)
+
+    @pytest.mark.parametrize("c, n", [(3, 6), (3, 7), (4, 6)])
+    def test_summands_group_tuple_terms_by_s_last(self, c, n):
+        ctx = ClusterContext(c)
+        an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
+        assert any(c * e2 < an3 for e2 in range(an2 + 1))  # negative trailing tops
+        for e1 in range(an1 + 1):
+            for e2 in range(an2 + 1):
+                groups = defaultdict(list)
+                for s_last, term in tuple_chi_terms(ctx, n, e1, e2):
+                    groups[s_last].append(term)
+                got = list(chi_formula_summands(ctx, n, e1, e2))
+                assert got == [sum(groups[s]) for s in sorted(groups, reverse=True)]
+                for grouped, s in zip(got, sorted(groups, reverse=True)):
+                    assert all((t > 0) == (grouped > 0) for t in groups[s])
+
+    def test_binom_step(self):
+        for t in range(-15, 16):
+            for j in range(21):
+                assert _binom_step(mod_binom(t, t - j), t, j) == mod_binom(t, t - j - 1)
+
+    def test_concurrent_memo_fill_matches_serial(self):
+        # the README states the context memos are safe for concurrent readers;
+        # four threads race to fill the leaves and rows memos of one context
+        n = 8
+        serial_ctx = ClusterContext(3)
+        serial = (chi_table_from_formula(serial_ctx, n), cluster_var_formula(serial_ctx, n))
+        ctx = ClusterContext(3)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(i):
+            barrier.wait(timeout=60)
+            if i % 2:
+                poly = cluster_var_formula(ctx, n)
+                results[i] = (chi_table_from_formula(ctx, n), poly)
+            else:
+                results[i] = (chi_table_from_formula(ctx, n), cluster_var_formula(ctx, n))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the memo fills
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
 
 
 class TestChiFormula:

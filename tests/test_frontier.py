@@ -1,10 +1,11 @@
-"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 20 s).
+"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 37 s).
 
 At these sizes the recurrence raises polynomials of thousands of terms to
 the c-th power through the Kronecker multiply.  Its digit blocks made two
 digits narrower than the bound corrupt the (3, 9) expansion, so the
 equality with the closed form fails even without the multiply's own
-overflow check.
+overflow check.  The (4, 8) recurrence takes about 24 s of the total, most
+of it in the exact division of its last step.
 """
 import pytest
 
@@ -14,7 +15,7 @@ from rank2cluster.recurrence import cluster_var_recurrence, scalar_cluster_value
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("c, n", [(3, 9), (5, 7)])
+@pytest.mark.parametrize("c, n", [(3, 9), (5, 7), (4, 8)])
 def test_recurrence_equals_formula_at_frontier(c, n):
     ctx = ClusterContext(c)
     rec = cluster_var_recurrence(ctx, n)

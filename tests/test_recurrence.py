@@ -1,7 +1,8 @@
 import pytest
 
+from rank2cluster import recurrence
 from rank2cluster.combinat import ClusterContext
-from rank2cluster.laurent import LaurentPoly2
+from rank2cluster.laurent import ONE, InexactDivisionError, LaurentPoly2
 from rank2cluster.recurrence import (
     chi_from_expansion,
     cluster_var_recurrence,
@@ -115,3 +116,23 @@ def test_coefficients_observed_nonnegative():
         ctx = ClusterContext(c)
         for n in range(1, n_top + 1):
             assert all(v > 0 for _, v in cluster_var_recurrence(ctx, n).items())
+
+
+def test_inexact_step_names_c_and_k():
+    # poison the memoized x_3 of a c no other test uses; step 4 divides by
+    # the monomial x_2 and stays exact, step 5 divides by the poisoned x_3
+    c = 11
+    saved = recurrence._xvars.pop(c, None)
+    try:
+        ctx = ClusterContext(c)
+        x3 = cluster_var_recurrence(ctx, 3)
+        recurrence._xvars[c][3] = x3 + ONE
+        with pytest.raises(InexactDivisionError) as exc:
+            cluster_var_recurrence(ctx, 5)
+        assert "step k=5 for c=11" in str(exc.value)
+        assert exc.value.remainder  # nonzero, kept from the division
+        assert exc.value.remainder is exc.value.__cause__.remainder
+    finally:
+        recurrence._xvars.pop(c, None)
+        if saved is not None:
+            recurrence._xvars[c] = saved
