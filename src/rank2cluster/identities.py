@@ -13,7 +13,12 @@ Three independently checkable facts live here:
 
 Stages below n-4 replace trailing tuple entries by weight variables
 w_1, w_2, ... >= 0 with their own partial sums v_i; the stage -1 form has
-no tuple entries left at all.
+no tuple entries left at all.  Their weighted running sum telescopes to
+a_{N-k}*v_k - a_{N-k-1}*v_{k-1}, and the last binomial of each summand
+vanishes unless v_{m-1} lies in a window fixed before any weight is
+chosen; these two facts bound every weight loop, so the loops visit only
+branches that can reach a nonzero summand.  The same bounds hold for every
+c >= 1 that staged_chi_sum accepts (see its docstring).
 """
 from __future__ import annotations
 
@@ -91,6 +96,27 @@ def staged_chi_sum(
     sum, and every weight carries a positive coefficient in it.  For c = 1
     those coefficients degenerate beyond n = 5, so larger n is rejected
     there rather than enumerated heuristically.
+
+    With m = n-j-4 weights, N = m+2 and dot_k the weighted sum after w_k,
+    the running sum telescopes: dot_k = a_{N-k}*v_k - a_{N-k-1}*v_{k-1}, so
+    dot_m = v_m and dot_{m-1} = c*v_{m-1} - v_{m-2}.  The weight loops skip
+    only branches whose every leaf is zero:
+
+    * the leaf's second binomial has top top2 - c*v_m and bottom
+      bot2 - c*v_m + v_{m-1}, whose difference does not involve v_m, so a
+      nonzero leaf needs v_{m-1} <= top2 - bot2; when the top is >= 0 on
+      every leaf it also needs v_{m-1} >= c*vlo - bot2 (vlo the least v_m
+      the first binomial allows), hence v_{m-2} >= c*(c*vlo - bot2) - cap;
+    * v_{m-1} >= a_{r+2}*v_k - a_{r+1}*v_{k-1} (r = m-1-k), because the
+      later weights enter v_{m-1} with coefficients a_2, ..., a_{r+1}; with
+      a_2, ..., a_{r+2} > 0 this caps w_k at every level;
+    * within the leaf loop, the band of v_m where that top is >= 0 and the
+      bottom < 0 is cut out.
+
+    Only the level caps use the sign of the sequence.  For c >= 2 every
+    a_i with i >= 2 is positive.  For c = 1 the sequence turns negative at
+    a_5, but n <= 5 keeps m <= 2, so only the r = 0 cap is used, and it
+    needs only a_2 = 1.  The same loops therefore run for every c.
     """
     if ctx.c < 1:
         raise ValueError(f"requires c >= 1, got c={ctx.c}")
@@ -112,9 +138,10 @@ def staged_chi_sum(
     aj2 = a(j + 2)
     pair1 = e2 * a(n - 2 - j) - e1 * a(n - 3 - j)
     pair2 = e2 * a(n - 1 - j) - e1 * a(n - 2 - j)
-    # weight k enters the final partial sum with coefficient coefs[k];
-    # tconst[k] - c*v_k is the top of the trailing factor attached to w_k
-    coefs = [0] + [a(n - 2 - j - k) for k in range(1, m + 1)]
+    # coefs[k] = a_{N-k}: weight k enters the final sum with coefficient
+    # coefs[k] (k <= m), and dot_{k-1} = coefs[k-1]*v_{k-1} - coefs[k]*v_{k-2};
+    # tconst[k] - c*v_{k-1} is the top of the trailing factor attached to w_k
+    coefs = [a(m + 2 - k) for k in range(m + 2)]
     tconst = [0] + [
         -a(n - k - 2) + c * (e2 * a(k + 1) - e1 * a(k)) for k in range(1, m + 1)
     ]
@@ -128,68 +155,61 @@ def staged_chi_sum(
         vlo = cap - a1 if a1 >= 0 else 0
         b1base = a1 + sj - pair1
         bot2base = sj1 - aj1 + pair2
+        # the leaf window on v_{m-1}, and the bound it puts on v_{m-2}
+        vm1_hi = top2base - bot2base
+        vm1_lo = vm2_lo = 0
+        if top2base >= c * cap:
+            vm1_lo = c * vlo - bot2base
+            vm2_lo = c * vm1_lo - cap
+        if (m == 1 and not vm1_lo <= 0 <= vm1_hi) or (m == 2 and vm2_lo > 0):
+            return 0  # v_0 = 0 already misses its window
 
-        def rec(k: int, vprev: int, vcur: int, dot: int, prod: int) -> int:
+        def rec(k: int, vprev: int, vcur: int, prod: int) -> int:
             tk = tconst[k] - c * vcur
+            base = c * vcur - vprev  # v_k at w_k = 0
             if k == m:
-                # last weight has coefficient 1: solve its window directly
-                base = c * vcur - vprev
-                w_lo = vlo - base
-                if w_lo < 0:
-                    w_lo = 0
-                w_hi = cap - dot
-                if 0 <= tk < w_hi:
-                    w_hi = tk
+                # v_m = dot_m, so its window is [vlo, cap] directly
+                lo = vlo if vlo > base else base
+                hi = cap
+                if 0 <= tk and base + tk < hi:
+                    hi = base + tk
+                # cut the band where the second binomial's top is >= 0
+                # and its bottom < 0; v_{m-1} <= vm1_hi keeps the parts
+                # disjoint
+                cut_lo = (bot2base + vcur) // c + 1
+                cut_hi = top2base // c
+                parts = (
+                    range(lo, (hi if hi < cut_lo else cut_lo - 1) + 1),
+                    range(lo if lo > cut_hi else cut_hi + 1, hi + 1),
+                )
                 acc = 0
-                for w in range(w_lo, w_hi + 1):
-                    tf = mod_binom(tk, tk - w)
-                    if not tf:
-                        continue
-                    vfin = base + w
-                    b1 = mod_binom(a1, b1base + vfin)
-                    if not b1:
-                        continue
-                    b2 = mod_binom(
-                        top2base - c * vfin, bot2base - (c * vfin - vcur)
-                    )
-                    if b2:
-                        acc += tf * b1 * b2
+                for part in parts:
+                    for v in part:
+                        acc += (
+                            mod_binom(tk, tk - v + base)
+                            * mod_binom(a1, b1base + v)
+                            * mod_binom(top2base - c * v, bot2base - c * v + vcur)
+                        )
                 return acc * prod
             coef = coefs[k]
-            w_hi = (cap - dot) // coef
+            w_hi = (cap - coefs[k - 1] * vcur + coef * vprev) // coef
             if 0 <= tk < w_hi:
                 w_hi = tk
+            hi = (vm1_hi + coefs[k + 2] * vcur) // coefs[k + 1] - base
+            if hi < w_hi:
+                w_hi = hi
+            w_lo = 0
+            lo = (vm1_lo if k == m - 1 else vm2_lo if k == m - 2 else 0) - base
+            if lo > 0:
+                w_lo = lo
             acc = 0
-            if k == m - 1 and a1 == 0:
-                # final sum is pinned to cap, so the second binomial pins
-                # the next-to-last partial sum to a short window too
-                a2 = top2base - c * cap
-                if a2 >= 0:
-                    vm_lo = c * cap - bot2base
-                    vm_hi = vm_lo + a2
-                    base = c * vcur - vprev
-                    lo = vm_lo - base
-                    if lo < 0:
-                        lo = 0
-                    hi = vm_hi - base
-                    if hi > w_hi:
-                        hi = w_hi
-                    for w in range(lo, hi + 1):
-                        tf = mod_binom(tk, tk - w)
-                        if tf:
-                            acc += rec(
-                                k + 1, vcur, base + w, dot + coef * w, prod * tf
-                            )
-                    return acc
-            for w in range(w_hi + 1):
+            for w in range(w_lo, w_hi + 1):
                 tf = mod_binom(tk, tk - w)
                 if tf:
-                    acc += rec(
-                        k + 1, vcur, c * vcur - vprev + w, dot + coef * w, prod * tf
-                    )
+                    acc += rec(k + 1, vcur, base + w, prod * tf)
             return acc
 
-        return rec(1, 0, 0, 0, 1)
+        return rec(1, 0, 0, 1)
 
     if j == -1:
         return w_sum(0, 0)

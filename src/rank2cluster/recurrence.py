@@ -15,7 +15,15 @@ from .laurent import ONE, X1, X2, InexactDivisionError, LaurentPoly2
 
 
 class ExpansionStructureError(RuntimeError):
-    """An expansion violated the exponent structure required by the coordinate map."""
+    """An expansion violated the exponent structure required by the coordinate map.
+
+    c and n name the expansion x_n; e1 and e2 name the offending cell, and
+    are None when the offending term maps to no single cell.
+    """
+
+    def __init__(self, message: str, c=None, n=None, e1=None, e2=None):
+        super().__init__(message)
+        self.c, self.n, self.e1, self.e2 = c, n, e1, e2
 
 
 _xvars: dict[int, list[LaurentPoly2]] = {}
@@ -89,21 +97,32 @@ def chi_from_expansion(ctx: ClusterContext, n: int) -> ChiTable:
         if r1:
             raise ExpansionStructureError(
                 f"term x1^{d1} x2^{d2} of x_{n} (c={c}): "
-                f"d2 + a_{n-2} = {d2 + an2} is not divisible by c"
+                f"d2 + a_{n-2} = {d2 + an2} is not divisible by c",
+                c,
+                n,
             )
         q2, r2 = divmod(d1 + an1, c)
         if r2:
             raise ExpansionStructureError(
                 f"term x1^{d1} x2^{d2} of x_{n} (c={c}): "
-                f"d1 + a_{n-1} = {d1 + an1} is not divisible by c"
+                f"d1 + a_{n-1} = {d1 + an1} is not divisible by c",
+                c,
+                n,
             )
         e2 = an2 - q2
         if not (0 <= e1 <= an1 and 0 <= e2 <= an2):
             raise ExpansionStructureError(
-                f"cell ({e1}, {e2}) outside the dimension box ({an1}, {an2})"
+                f"cell ({e1}, {e2}) outside the dimension box ({an1}, {an2})",
+                c,
+                n,
+                e1,
+                e2,
             )
         entries[(e1, e2)] = kappa
     table = ChiTable(ctx.c, n, (an1, an2), entries)
-    if table.chi(0, 0) != 1 or table.chi(an1, an2) != 1:
-        raise ExpansionStructureError("corner cells of the table must equal 1")
+    for e1, e2 in ((0, 0), (an1, an2)):
+        if table.chi(e1, e2) != 1:
+            raise ExpansionStructureError(
+                "corner cells of the table must equal 1", c, n, e1, e2
+            )
     return table

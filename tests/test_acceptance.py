@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from rank2cluster.cli import run_check
 from rank2cluster.closedform import (
     chi_formula,
     chi_formula_summands,
@@ -18,7 +19,6 @@ from rank2cluster.closedform import (
 from rank2cluster.combinat import ClusterContext, mod_binom
 from rank2cluster.identities import (
     RationalPoly,
-    staged_chi_sum,
     vandermonde_sides,
     vanishing_check,
 )
@@ -144,15 +144,17 @@ def test_criterion_06_vandermonde():
 def test_criterion_07_stage_invariance():
     def body():
         for c in (2, 3):
-            ctx = ClusterContext(c)
             for n in (5, 6, 7):
-                an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-                for e1 in range(an1 + 1):
-                    for e2 in range(an2 + 1):
-                        want = chi_formula(ctx, n, e1, e2)
-                        for stage in range(-1, n - 3):
-                            got = staged_chi_sum(ctx, n, e1, e2, stage)
-                            assert got == want, (c, n, e1, e2, stage, got, want)
+                name, ok, detail, _ = run_check(
+                    {
+                        "kind": "invariance",
+                        "name": f"invariance/c{c}/n{n}",
+                        "c": c,
+                        "n": n,
+                        "seed": 0,
+                    }
+                )
+                assert ok, f"{name}: {detail}"
 
     _report(7, "all stages agree with the cell value over every dimension box", body)
 

@@ -14,6 +14,117 @@ from rank2cluster.identities import (
 from rank2cluster.recurrence import chi_from_expansion
 
 
+def unpruned_staged_sum(ctx, n, e1, e2, stage):
+    """Stages -1..n-5 as staged_chi_sum computed them before its weight
+    loops took bounds from the leaf window: a loop ends only at the cap on
+    the final weighted sum, at a nonnegative trailing top, or, when the
+    first leaf binomial has top 0, at the pinned next-to-last partial sum.
+    """
+    c = ctx.c
+    j = stage
+    m = n - j - 4  # number of weight variables, >= 1 here
+    a = ctx.a
+    aj1 = a(j + 1)
+    aj2 = a(j + 2)
+    pair1 = e2 * a(n - 2 - j) - e1 * a(n - 3 - j)
+    pair2 = e2 * a(n - 1 - j) - e1 * a(n - 2 - j)
+    # weight k enters the final partial sum with coefficient coefs[k];
+    # tconst[k] - c*v_k is the top of the trailing factor attached to w_k
+    coefs = [0] + [a(n - 2 - j - k) for k in range(1, m + 1)]
+    tconst = [0] + [
+        -a(n - k - 2) + c * (e2 * a(k + 1) - e1 * a(k)) for k in range(1, m + 1)
+    ]
+    top2base = -aj1 + c * pair1
+
+    def w_sum(sj, sj1):
+        cap = pair1 - sj  # final weighted sum must not exceed this
+        if cap < 0:
+            return 0
+        a1 = aj2 - c * sj1
+        vlo = cap - a1 if a1 >= 0 else 0
+        b1base = a1 + sj - pair1
+        bot2base = sj1 - aj1 + pair2
+
+        def rec(k, vprev, vcur, dot, prod):
+            tk = tconst[k] - c * vcur
+            if k == m:
+                # last weight has coefficient 1: solve its window directly
+                base = c * vcur - vprev
+                w_lo = vlo - base
+                if w_lo < 0:
+                    w_lo = 0
+                w_hi = cap - dot
+                if 0 <= tk < w_hi:
+                    w_hi = tk
+                acc = 0
+                for w in range(w_lo, w_hi + 1):
+                    tf = mod_binom(tk, tk - w)
+                    if not tf:
+                        continue
+                    vfin = base + w
+                    b1 = mod_binom(a1, b1base + vfin)
+                    if not b1:
+                        continue
+                    b2 = mod_binom(
+                        top2base - c * vfin, bot2base - (c * vfin - vcur)
+                    )
+                    if b2:
+                        acc += tf * b1 * b2
+                return acc * prod
+            coef = coefs[k]
+            w_hi = (cap - dot) // coef
+            if 0 <= tk < w_hi:
+                w_hi = tk
+            acc = 0
+            if k == m - 1 and a1 == 0:
+                # final sum is pinned to cap, so the second binomial pins
+                # the next-to-last partial sum to a short window too
+                a2 = top2base - c * cap
+                if a2 >= 0:
+                    vm_lo = c * cap - bot2base
+                    vm_hi = vm_lo + a2
+                    base = c * vcur - vprev
+                    lo = vm_lo - base
+                    if lo < 0:
+                        lo = 0
+                    hi = vm_hi - base
+                    if hi > w_hi:
+                        hi = w_hi
+                    for w in range(lo, hi + 1):
+                        tf = mod_binom(tk, tk - w)
+                        if tf:
+                            acc += rec(
+                                k + 1, vcur, base + w, dot + coef * w, prod * tf
+                            )
+                    return acc
+            for w in range(w_hi + 1):
+                tf = mod_binom(tk, tk - w)
+                if tf:
+                    acc += rec(
+                        k + 1, vcur, c * vcur - vprev + w, dot + coef * w, prod * tf
+                    )
+            return acc
+
+        return rec(1, 0, 0, 0, 1)
+
+    if j == -1:
+        return w_sum(0, 0)
+
+    total = 0
+
+    def trec(i, prod, sprev, scur):
+        nonlocal total
+        if i == j + 1:
+            total += prod * w_sum(sprev, scur)
+            return
+        top = a(i + 1) - c * scur
+        for t in range(top + 1):
+            trec(i + 1, prod * mod_binom(top, t), scur, c * scur - sprev + t)
+
+    trec(0, 1, 0, 0)
+    return total
+
+
 class TestVandermonde:
     def test_plain_convolution(self):
         lhs, rhs = vandermonde_sides(2, 1, 1, RationalPoly.from_coeffs([1]))
@@ -108,6 +219,19 @@ class TestStagedSums:
                 for e2 in range(-2, 3):
                     vals = {staged_chi_sum(ctx, n, e1, e2, j) for j in range(-1, n - 3)}
                     assert len(vals) == 1
+
+    @pytest.mark.parametrize("c, n_top", [(1, 5), (2, 8), (3, 6), (4, 6), (5, 5)])
+    def test_pruned_loops_match_unpruned(self, c, n_top):
+        # (3, 7) is left to acceptance criterion 07
+        ctx = ClusterContext(c)
+        for n in range(4, n_top + 1):
+            an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
+            for e1 in range(-2, an1 + 3):
+                for e2 in range(-2, an2 + 3):
+                    for j in range(-1, n - 4):
+                        assert staged_chi_sum(ctx, n, e1, e2, j) == (
+                            unpruned_staged_sum(ctx, n, e1, e2, j)
+                        ), (n, e1, e2, j)
 
     def test_c1_large_index_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import pickle
+
 import pytest
 
 from rank2cluster import recurrence
 from rank2cluster.combinat import ClusterContext
 from rank2cluster.laurent import ONE, InexactDivisionError, LaurentPoly2
 from rank2cluster.recurrence import (
+    ExpansionStructureError,
     chi_from_expansion,
     cluster_var_recurrence,
     scalar_cluster_value,
@@ -132,6 +135,39 @@ def test_inexact_step_names_c_and_k():
         assert "step k=5 for c=11" in str(exc.value)
         assert exc.value.remainder  # nonzero, kept from the division
         assert exc.value.remainder is exc.value.__cause__.remainder
+    finally:
+        recurrence._xvars.pop(c, None)
+        if saved is not None:
+            recurrence._xvars[c] = saved
+
+
+@pytest.mark.parametrize(
+    "extra, e1, e2, words",
+    [
+        ({(-1, 1): 1}, None, None, "d2 + a_1 = 1 is not divisible"),
+        ({(0, 0): 1}, None, None, "d1 + a_2 = 1 is not divisible"),
+        ({(-1, 26): 1}, 2, 0, "cell (2, 0) outside the dimension box (1, 0)"),
+        ({(-1, 0): 1}, 0, 0, "corner cells of the table must equal 1"),
+    ],
+)
+def test_structure_error_names_c_n_and_cell(extra, e1, e2, words):
+    # poison the memoized x_3 = (x2^13 + 1) / x1 of a c no other test uses;
+    # its cells are (0, 0) and (1, 0) in the box (a_2, a_1) = (1, 0)
+    c = 13
+    saved = recurrence._xvars.pop(c, None)
+    try:
+        ctx = ClusterContext(c)
+        x3 = cluster_var_recurrence(ctx, 3)
+        recurrence._xvars[c][3] = x3 + LaurentPoly2(extra)
+        with pytest.raises(ExpansionStructureError) as exc:
+            chi_from_expansion(ctx, 3)
+        err = exc.value
+        assert words in str(err)
+        assert (err.c, err.n, err.e1, err.e2) == (c, 3, e1, e2)
+        back = pickle.loads(pickle.dumps(err))  # crosses verify --jobs workers
+        assert (str(back), back.c, back.n, back.e1, back.e2) == (
+            str(err), c, 3, e1, e2,
+        )
     finally:
         recurrence._xvars.pop(c, None)
         if saved is not None:
