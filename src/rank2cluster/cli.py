@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -34,10 +35,12 @@ from .recurrence import (
 
 # default verification grid: parameter -> largest index
 GRID = {2: 12, 3: 8, 4: 7}
-VANISHING_CS = (1, 2, 3)
-VANISHING_NS = (4, 5, 6, 7)
-INVARIANCE_CS = (2, 3)
-INVARIANCE_NS = (5, 6, 7)
+GRID_KINDS = ("expand", "v2", "chi", "coeffsum", "denominator", "positivity")
+# suites of a single check kind: kind -> (parameters, indices)
+KIND_SUITES = {
+    "vanishing": ((1, 2, 3), (4, 5, 6, 7)),
+    "invariance": ((2, 3), (5, 6, 7)),
+}
 SUITES = ("all", "grid", "vanishing", "vandermonde", "invariance")
 
 
@@ -142,20 +145,17 @@ def cmd_chi(args) -> int:
 # verify command: named checks over the acceptance grid
 
 
-def _check_expand(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_expand(ctx: ClusterContext, n: int, seed: int):
     ok = cluster_var_formula(ctx, n) == cluster_var_recurrence(ctx, n)
     return ok, "closed form == recurrence" if ok else "expansion mismatch"
 
 
-def _check_v2(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_v2(ctx: ClusterContext, n: int, seed: int):
     ok = cluster_var_formula_v2(ctx, n) == cluster_var_formula(ctx, n)
     return ok, "substituted form == closed form" if ok else "expansion mismatch"
 
 
-def _check_chi(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_chi(ctx: ClusterContext, n: int, seed: int):
     table = chi_from_expansion(ctx, n)
     formula = chi_table_from_formula(ctx, n)
     if formula != table:
@@ -163,7 +163,7 @@ def _check_chi(c: int, n: int, seed: int):
         e1, e2 = min(k for k in cells if table.chi(*k) != formula.chi(*k))
         return False, f"cell ({e1},{e2}) disagrees"
     an1, an2 = table.dim_vector
-    rng = random.Random(f"{seed}:chi:{c}:{n}")
+    rng = random.Random(f"{seed}:chi:{ctx.c}:{n}")
     done = 0
     while done < 50:
         e1 = rng.randint(-an1 - 3, 2 * an1 + 3)
@@ -176,16 +176,14 @@ def _check_chi(c: int, n: int, seed: int):
     return True, "box + 50 out-of-box cells agree"
 
 
-def _check_coeffsum(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_coeffsum(ctx: ClusterContext, n: int, seed: int):
     got = cluster_var_formula(ctx, n).eval_exact(1, 1)
-    want = scalar_cluster_value(c, n)
+    want = scalar_cluster_value(ctx.c, n)
     ok = got == want
     return ok, f"x_{n}(1,1) = {want}" if ok else f"got {got}, want {want}"
 
 
-def _check_denominator(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_denominator(ctx: ClusterContext, n: int, seed: int):
     poly = cluster_var_recurrence(ctx, n)
     want = (-ctx.a(n - 1), -ctx.a(n - 2))
     if poly.min_exponents() != want:
@@ -195,19 +193,17 @@ def _check_denominator(c: int, n: int, seed: int):
     return True, f"denominator exponents {want}, unit coefficient"
 
 
-def _check_positivity(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_positivity(ctx: ClusterContext, n: int, seed: int):
     poly = cluster_var_recurrence(ctx, n)
     bad = [k for k, v in poly.items() if v < 0]
     ok = not bad
     return ok, "all coefficients nonnegative" if ok else f"negative at {bad[:3]}"
 
 
-def _check_nonneg_region(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_nonneg_region(ctx: ClusterContext, n: int, seed: int):
     an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
     for e2 in range(an2 + 1):
-        if c * e2 < an3:
+        if ctx.c * e2 < an3:
             continue
         for e1 in range(an1 + 1):
             # a cell value is the sum of its summands: nonnegative with them
@@ -216,11 +212,10 @@ def _check_nonneg_region(c: int, n: int, seed: int):
     return True, "values and summands nonnegative for c*e2 >= a_{n-3}"
 
 
-def _check_vanishing(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_vanishing(ctx: ClusterContext, n: int, seed: int):
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     span = max(abs(an1), abs(an2), 4)
-    rng = random.Random(f"{seed}:vanishing:{c}:{n}")
+    rng = random.Random(f"{seed}:vanishing:{ctx.c}:{n}")
     done = 0
     while done < 100:
         e1 = rng.randint(-2 * span, 2 * span)
@@ -233,8 +228,7 @@ def _check_vanishing(c: int, n: int, seed: int):
     return True, "100 negative-pairing cells vanish"
 
 
-def _check_invariance(c: int, n: int, seed: int):
-    ctx = ClusterContext(c)
+def _check_invariance(ctx: ClusterContext, n: int, seed: int):
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     for e1 in range(an1 + 1):
         for e2 in range(an2 + 1):
@@ -286,67 +280,34 @@ def run_check(desc: dict) -> tuple[str, bool, str, float]:
         ok, detail = _check_vandermonde(desc["trials"], desc["seed"])
     else:
         fn = _CHECK_KINDS[desc["kind"]]
-        ok, detail = fn(desc["c"], desc["n"], desc["seed"])
+        ok, detail = fn(ClusterContext(desc["c"]), desc["n"], desc["seed"])
     return desc["name"], ok, detail, time.perf_counter() - t0
 
 
 def build_checks(args) -> list[dict]:
-    suite = args.suite
-    checks: list[dict] = []
-
-    def cluster_grid():
-        for c, top in sorted(GRID.items()):
-            if args.c is not None and c != args.c:
-                continue
-            for n in range(3, min(top, args.n_max) + 1):
-                yield c, n
-
-    if suite in ("all", "grid"):
-        for c, n in cluster_grid():
-            for kind in ("expand", "v2", "chi", "coeffsum", "denominator", "positivity"):
-                checks.append(
-                    {"kind": kind, "name": f"{kind}/c{c}/n{n:02d}", "c": c, "n": n}
-                )
-            if c >= 3:
-                checks.append(
-                    {
-                        "kind": "nonneg-region",
-                        "name": f"nonneg-region/c{c}/n{n:02d}",
-                        "c": c,
-                        "n": n,
-                    }
-                )
-    if suite in ("all", "vanishing"):
-        for c in VANISHING_CS:
-            if args.c is not None and c != args.c:
-                continue
-            for n in VANISHING_NS:
-                if n > args.n_max:
-                    continue
-                checks.append(
-                    {"kind": "vanishing", "name": f"vanishing/c{c}/n{n}", "c": c, "n": n}
-                )
-    if suite in ("all", "invariance"):
-        for c in INVARIANCE_CS:
-            if args.c is not None and c != args.c:
-                continue
-            for n in INVARIANCE_NS:
-                if n > args.n_max:
-                    continue
-                checks.append(
-                    {
-                        "kind": "invariance",
-                        "name": f"invariance/c{c}/n{n}",
-                        "c": c,
-                        "n": n,
-                    }
-                )
-    if suite in ("all", "vandermonde"):
+    """The check descriptors that `verify` runs for these arguments."""
+    points = [
+        ("grid", kind, f"{kind}/c{c}/n{n:02d}", c, n)
+        for c, top in sorted(GRID.items())
+        for n in range(3, top + 1)
+        for kind in GRID_KINDS + (("nonneg-region",) if c >= 3 else ())
+    ]
+    points += [
+        (kind, kind, f"{kind}/c{c}/n{n}", c, n)
+        for kind, (cs, ns) in KIND_SUITES.items()
+        for c in cs
+        for n in ns
+    ]
+    checks = [
+        {"kind": kind, "name": name, "c": c, "n": n, "seed": args.seed}
+        for suite, kind, name, c, n in points
+        if args.suite in ("all", suite) and args.c in (None, c) and n <= args.n_max
+    ]
+    if args.suite in ("all", "vandermonde"):
         checks.append(
-            {"kind": "vandermonde", "name": "vandermonde", "trials": args.trials}
+            {"kind": "vandermonde", "name": "vandermonde", "trials": args.trials,
+             "seed": args.seed}
         )
-    for chk in checks:
-        chk["seed"] = args.seed
     return checks
 
 
@@ -363,8 +324,10 @@ def cmd_verify(args) -> int:
     if not checks:
         raise UsageError("no checks selected for this configuration")
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # more workers than checks or cores would only add start-up cost
+    workers = min(args.jobs, len(checks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_check, checks))
     else:
         results = [run_check(desc) for desc in checks]

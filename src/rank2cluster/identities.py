@@ -19,13 +19,21 @@ vanishes unless v_{m-1} lies in a window fixed before any weight is
 chosen; these two facts bound every weight loop, so the loops visit only
 branches that can reach a nonzero summand.  The same bounds hold for every
 c >= 1 that staged_chi_sum accepts (see its docstring).
+
+The tuple entries a stage j keeps enter its weight sum only through their
+last two partial sums, so the stage reads the closed form's tuple classes
+_leaves(j+1) instead of walking the tuples.  This leaves the family a real
+check of the cell value: stage -1 reads only the trivial depth-0 class,
+each stage 0 <= j < n-4 reads the table of depth j+1 < n-3, never the
+depth-(n-3) table behind the cell value, and the test suite compares
+_leaves with a direct tuple walk, tuple by tuple.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closedform import _chi_sum
+from .closedform import _chi_sum, _leaves
 from .combinat import ClusterContext, mod_binom
 
 
@@ -93,7 +101,10 @@ def staged_chi_sum(
     Stage n-4 is the closed-form cell sum itself.  Lower stages trade the
     trailing tuple entries for weight variables; their enumeration is
     bounded because the leading indicator binomial caps the final weighted
-    sum, and every weight carries a positive coefficient in it.  For c = 1
+    sum, and every weight carries a positive coefficient in it.  The j+1
+    tuple entries a stage keeps are summed by class (s_{j+1}, s_j) from
+    _leaves(j+1): the single class (1, 0, 0) at stage -1, and never the
+    depth-(n-3) classes that the cell value reads.  For c = 1
     those coefficients degenerate beyond n = 5, so larger n is rejected
     there rather than enumerated heuristically.
 
@@ -132,7 +143,6 @@ def staged_chi_sum(
     c = ctx.c
     j = stage
     m = n - j - 4  # number of weight variables, >= 1 here
-    ctx.a(n)
     a = ctx.a
     aj1 = a(j + 1)
     aj2 = a(j + 2)
@@ -211,22 +221,7 @@ def staged_chi_sum(
 
         return rec(1, 0, 0, 1)
 
-    if j == -1:
-        return w_sum(0, 0)
-
-    total = 0
-
-    def trec(i: int, prod: int, sprev: int, scur: int) -> None:
-        nonlocal total
-        if i == j + 1:
-            total += prod * w_sum(sprev, scur)
-            return
-        top = a(i + 1) - c * scur
-        for t in range(top + 1):
-            trec(i + 1, prod * mod_binom(top, t), scur, c * scur - sprev + t)
-
-    trec(0, 1, 0, 0)
-    return total
+    return sum(w * w_sum(s_prev, s_last) for w, s_last, s_prev in _leaves(ctx, j + 1))
 
 
 def vanishing_check(ctx: ClusterContext, n: int, e1: int, e2: int) -> bool:

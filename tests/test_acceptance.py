@@ -9,24 +9,15 @@ import random
 import time
 from fractions import Fraction
 
-from rank2cluster.cli import run_check
-from rank2cluster.closedform import (
-    chi_formula,
-    chi_formula_summands,
-    cluster_var_formula,
-    cluster_var_formula_v2,
-)
+from rank2cluster.cli import build_checks, build_parser, run_check
+from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ClusterContext, mod_binom
 from rank2cluster.identities import (
     RationalPoly,
     vandermonde_sides,
     vanishing_check,
 )
-from rank2cluster.recurrence import (
-    chi_from_expansion,
-    cluster_var_recurrence,
-    scalar_cluster_value,
-)
+from rank2cluster.recurrence import cluster_var_recurrence, scalar_cluster_value
 
 ACCEPTANCE_GRID = ((2, 12), (3, 8), (4, 7))
 
@@ -35,6 +26,21 @@ def _grid():
     for c, top in ACCEPTANCE_GRID:
         for n in range(3, top + 1):
             yield c, n
+
+
+def _run_registry(kind, min_c=0):
+    """Run every default `verify` check of one kind, which must cover the grid
+    points with c >= min_c exactly."""
+    checks = [
+        desc for desc in build_checks(build_parser().parse_args(["verify"]))
+        if desc["kind"] == kind
+    ]
+    assert {(d["c"], d["n"]) for d in checks} == {
+        (c, n) for c, n in _grid() if c >= min_c
+    }, kind
+    for desc in checks:
+        name, ok, detail, _ = run_check(desc)
+        assert ok, f"{name}: {detail}"
 
 
 def _report(num, desc, fn):
@@ -49,9 +55,7 @@ def _report(num, desc, fn):
 def test_criterion_01_oracle_equivalence():
     def body():
         t0 = time.perf_counter()
-        for c, n in _grid():
-            ctx = ClusterContext(c)
-            assert cluster_var_formula(ctx, n) == cluster_var_recurrence(ctx, n), (c, n)
+        _run_registry("expand")
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"grid took {elapsed:.1f}s, budget 60s"
 
@@ -59,26 +63,16 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_substituted_form_equivalence():
-    def body():
-        for c, n in _grid():
-            ctx = ClusterContext(c)
-            assert cluster_var_formula_v2(ctx, n) == cluster_var_formula(ctx, n), (c, n)
-
-    _report(2, "substituted parametrization equals the closed form on the grid", body)
+    _report(
+        2, "substituted parametrization equals the closed form on the grid",
+        lambda: _run_registry("v2"),
+    )
 
 
 def test_criterion_03_chi_agreement():
     def body():
         assert chi_formula(ClusterContext(2), 4, 1, 1) == 2
-        for c, n in _grid():
-            ctx = ClusterContext(c)
-            table = chi_from_expansion(ctx, n)
-            an1, an2 = table.dim_vector
-            for e1 in range(an1 + 1):
-                for e2 in range(an2 + 1):
-                    assert chi_formula(ctx, n, e1, e2) == table.chi(e1, e2), (
-                        c, n, e1, e2,
-                    )
+        _run_registry("chi")
 
     _report(3, "cell sums match the expansion table on every dimension box", body)
 
@@ -161,38 +155,17 @@ def test_criterion_07_stage_invariance():
 
 def test_criterion_08_nonnegativity():
     def body():
-        for c, top in ACCEPTANCE_GRID:
-            if c < 3:
-                continue
-            ctx = ClusterContext(c)
-            for n in range(3, top + 1):
-                an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
-                for e2 in range(an2 + 1):
-                    if c * e2 < an3:
-                        continue
-                    for e1 in range(an1 + 1):
-                        total = 0
-                        for term in chi_formula_summands(ctx, n, e1, e2):
-                            assert term >= 0, (c, n, e1, e2, term)
-                            total += term
-                        assert total >= 0
-        for c, n in _grid():
-            poly = cluster_var_recurrence(ClusterContext(c), n)
-            assert all(v > 0 for _, v in poly.items()), (c, n)
+        _run_registry("nonneg-region", min_c=3)
+        _run_registry("positivity")
 
     _report(8, "region summands nonnegative; all observed coefficients nonnegative", body)
 
 
 def test_criterion_09_denominator_vectors():
-    def body():
-        for c, n in _grid():
-            ctx = ClusterContext(c)
-            poly = cluster_var_recurrence(ctx, n)
-            want = (-ctx.a(n - 1), -ctx.a(n - 2))
-            assert poly.min_exponents() == want, (c, n)
-            assert poly.coeff(*want) == 1, (c, n)
-
-    _report(9, "minimal exponents and unit pure-denominator coefficient on the grid", body)
+    _report(
+        9, "minimal exponents and unit pure-denominator coefficient on the grid",
+        lambda: _run_registry("denominator"),
+    )
 
 
 def test_criterion_10_combinatorics_unit_suite():

@@ -44,8 +44,9 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def _package_imports(module: str) -> set[str]:
-    """Sibling modules that rank2cluster.<module> imports, in any import form."""
+def _package_imports(module: str) -> set[tuple[str, str]]:
+    """(sibling module, name) pairs that rank2cluster.<module> imports, in any
+    import form; the name is "*" where the whole module is imported."""
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
     found = set()
     for node in ast.walk(tree):
@@ -56,18 +57,31 @@ def _package_imports(module: str) -> set[str]:
                     continue
                 base = base[len("rank2cluster."):]
             if base:
-                found.add(base.split(".")[0])
+                found.update((base.split(".")[0], alias.name) for alias in node.names)
             else:
-                found.update(alias.name for alias in node.names)
+                found.update((alias.name, "*") for alias in node.names)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("rank2cluster."):
-                    found.add(alias.name.split(".")[1])
+                    found.add((alias.name.split(".")[1], "*"))
     return found
+
+
+def _imported_modules(module: str) -> set[str]:
+    return {source for source, _ in _package_imports(module)}
 
 
 def test_routes_import_nothing_from_each_other():
     # the two routes must stay independent for their agreement to mean anything
-    assert "recurrence" not in _package_imports("closedform")
-    assert "closedform" not in _package_imports("recurrence")
-    assert "closedform" not in _package_imports("laurent")
+    assert "recurrence" not in _imported_modules("closedform")
+    assert "closedform" not in _imported_modules("recurrence")
+    assert "closedform" not in _imported_modules("laurent")
+
+
+def test_identities_takes_only_cell_sum_and_classes_from_closedform():
+    # the staged sums check the cell value, so they may share only the cell sum
+    # itself (stage n-4) and the tuple classes of lower depths
+    pairs = _package_imports("identities")
+    assert {name for source, name in pairs if source == "closedform"} == {
+        "_chi_sum", "_leaves",
+    }

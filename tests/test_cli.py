@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
+
+import pytest
 
 from rank2cluster import cli
 from rank2cluster.cli import main
-from rank2cluster.laurent import ONE, InexactDivisionError
+from rank2cluster.laurent import ONE, X1, InexactDivisionError
 
 
 def run_cli(capsys, *argv):
@@ -162,3 +165,83 @@ def test_verify_parallel_jobs_match_serial(capsys):
     )
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+
+
+def _checks(*argv):
+    return cli.build_checks(cli.build_parser().parse_args(["verify", *argv]))
+
+
+def test_registry_size_and_unique_names():
+    # the counts perfbench/run.py expects from verify (VERIFY_CHECKS)
+    default = _checks()
+    assert len(default) == 156
+    assert len(_checks("--c", "2", "--n-max", "6")) == 30
+    names = [desc["name"] for desc in default]
+    assert len(set(names)) == len(names)
+
+
+def _bump_corner(table):
+    return replace(table, entries={**table.entries, (0, 0): table.chi(0, 0) + 1})
+
+
+# (check kind, library name cli imports, corruption of the real function f)
+CORRUPTIONS = [
+    ("expand", "cluster_var_formula", lambda f: lambda ctx, n: X1),
+    ("v2", "cluster_var_formula_v2", lambda f: lambda ctx, n: X1),
+    ("chi", "chi_table_from_formula", lambda f: lambda ctx, n: _bump_corner(f(ctx, n))),
+    ("chi", "chi_formula", lambda f: lambda *cell: 1),
+    ("coeffsum", "scalar_cluster_value", lambda f: lambda c, n: f(c, n) + 1),
+    ("denominator", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) * X1),
+    ("denominator", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) * 2),
+    ("positivity", "cluster_var_recurrence", lambda f: lambda ctx, n: -f(ctx, n)),
+    ("nonneg-region", "chi_formula_summands", lambda f: lambda *cell: iter([-1])),
+    ("vanishing", "vanishing_check", lambda f: lambda *cell: False),
+    ("invariance", "staged_chi_sum", lambda f: lambda *cell: f(*cell) + 1),
+    ("vandermonde", "vandermonde_sides", lambda f: lambda *sides: (0, 1)),
+]
+
+
+def test_corruptions_cover_every_check_kind():
+    kinds = set(cli._CHECK_KINDS) | {"vandermonde"}
+    assert {kind for kind, _, _ in CORRUPTIONS} == kinds
+
+
+@pytest.mark.parametrize(
+    "kind, name, corrupt", CORRUPTIONS, ids=[f"{k}-{name}" for k, name, _ in CORRUPTIONS]
+)
+def test_each_check_kind_can_fail(monkeypatch, kind, name, corrupt):
+    # a check that always passed would hide a broken library from verify and
+    # from the acceptance criteria that run it
+    desc = {"kind": kind, "name": kind, "c": 3, "n": 5, "trials": 20, "seed": 0}
+    assert cli.run_check(desc)[1] is True
+    monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
+    assert cli.run_check(desc)[1] is False
+
+
+def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):
+    # the pool is faked, so no worker process starts whatever --jobs says
+    argv = ("verify", "--c", "2", "--n-max", "4", "--suite", "grid", "--format", "json")
+    serial = run_cli(capsys, *argv)
+    n_checks = len(_checks(*argv[1:]))
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    for cores in (3, 64):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
+        recorded.clear()
+        parallel = run_cli(capsys, *argv, "--jobs", "100000")
+        assert parallel[:2] == serial[:2]
+        assert len(recorded) == 1 and 1 < recorded[0] <= min(cores, n_checks)
