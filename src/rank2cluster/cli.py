@@ -8,6 +8,7 @@ invariant failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -160,8 +161,13 @@ def _check_chi(ctx: ClusterContext, n: int, seed: int):
     formula = chi_table_from_formula(ctx, n)
     if formula != table:
         cells = table.entries.keys() | formula.entries.keys()
-        e1, e2 = min(k for k in cells if table.chi(*k) != formula.chi(*k))
-        return False, f"cell ({e1},{e2}) disagrees"
+        bad = [k for k in cells if table.chi(*k) != formula.chi(*k)]
+        if bad:
+            e1, e2 = min(bad)
+            return False, f"cell ({e1},{e2}) disagrees"
+        field = next(f for f in ("c", "n", "dim_vector", "entries")
+                     if getattr(formula, f) != getattr(table, f))
+        return False, f"table field {field} disagrees"
     an1, an2 = table.dim_vector
     rng = random.Random(f"{seed}:chi:{ctx.c}:{n}")
     done = 0
@@ -273,6 +279,9 @@ _CHECK_KINDS = {
     "invariance": _check_invariance,
 }
 
+# one context per c in each process, so that checks share each route's memos
+_context = functools.cache(ClusterContext)
+
 
 def run_check(desc: dict) -> tuple[str, bool, str, float]:
     t0 = time.perf_counter()
@@ -280,7 +289,7 @@ def run_check(desc: dict) -> tuple[str, bool, str, float]:
         ok, detail = _check_vandermonde(desc["trials"], desc["seed"])
     else:
         fn = _CHECK_KINDS[desc["kind"]]
-        ok, detail = fn(ClusterContext(desc["c"]), desc["n"], desc["seed"])
+        ok, detail = fn(_context(desc["c"]), desc["n"], desc["seed"])
     return desc["name"], ok, detail, time.perf_counter() - t0
 
 

@@ -74,23 +74,19 @@ def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]
     two partial sums, so the tuples sharing those two sums form one class,
     whose weight is the sum of their products (at least 1).
     """
-    key = ("leaves", depth)
-    cached = ctx._derived.get(key)
-    if cached is not None:
-        return cached
-    c = ctx.c
-    weights: dict[tuple[int, int], int] = {}
-    for prefix in enumerate_admissible(ctx, depth + 3, depth):
-        sv = prefix.s_values
-        prod = 1
-        for i, t in enumerate(prefix.entries):
-            prod *= mod_binom(ctx.a(i + 1) - c * sv[i], t)
-        k = (sv[depth], sv[depth - 1] if depth >= 1 else 0)
-        weights[k] = weights.get(k, 0) + prod
-    result = tuple((w, s_last, s_prev) for (s_last, s_prev), w in weights.items())
-    with ctx._lock:
-        ctx._derived[key] = result
-    return result
+    def build():
+        c = ctx.c
+        weights: dict[tuple[int, int], int] = {}
+        for prefix in enumerate_admissible(ctx, depth + 3, depth):
+            sv = prefix.s_values
+            prod = 1
+            for i, t in enumerate(prefix.entries):
+                prod *= mod_binom(ctx.a(i + 1) - c * sv[i], t)
+            k = (sv[depth], sv[depth - 1] if depth >= 1 else 0)
+            weights[k] = weights.get(k, 0) + prod
+        return tuple((w, s_last, s_prev) for (s_last, s_prev), w in weights.items())
+
+    return ctx.memo(("leaves", depth), build)
 
 
 def _binom_step(b: int, t: int, j: int) -> int:
@@ -107,23 +103,19 @@ def _rows(ctx: ClusterContext, n: int) -> dict[int, tuple[tuple[int, int], ...]]
     a class with top < 0 reaches none.  This is the one table both
     _chi_terms and cluster_var_formula read.
     """
-    key = ("rows", n)
-    cached = ctx._derived.get(key)
-    if cached is not None:
-        return cached
-    an2 = ctx.a(n - 2)
-    acc: dict[int, dict[int, int]] = {}
-    for weight, s_last, s_prev in _leaves(ctx, n - 3):
-        top = an2 - ctx.c * s_last
-        b = 1
-        for k in range(top + 1):
-            row = acc.setdefault(s_prev + k, {})
-            row[s_last] = row.get(s_last, 0) + weight * b
-            b = _binom_step(b, top, k)
-    result = {e2: tuple(sorted(row.items())) for e2, row in sorted(acc.items())}
-    with ctx._lock:
-        ctx._derived[key] = result
-    return result
+    def build():
+        an2 = ctx.a(n - 2)
+        acc: dict[int, dict[int, int]] = {}
+        for weight, s_last, s_prev in _leaves(ctx, n - 3):
+            top = an2 - ctx.c * s_last
+            b = 1
+            for k in range(top + 1):
+                row = acc.setdefault(s_prev + k, {})
+                row[s_last] = row.get(s_last, 0) + weight * b
+                b = _binom_step(b, top, k)
+        return {e2: tuple(sorted(row.items())) for e2, row in sorted(acc.items())}
+
+    return ctx.memo(("rows", n), build)
 
 
 def _chi_terms(ctx: ClusterContext, n: int, e1: int, e2: int) -> Iterator[int]:

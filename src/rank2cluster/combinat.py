@@ -9,6 +9,7 @@ both routes fill lives here too, so neither route imports the other.
 """
 from __future__ import annotations
 
+import operator
 import threading
 from dataclasses import dataclass
 from math import comb
@@ -43,12 +44,25 @@ class ClusterContext:
     __slots__ = ("c", "_a", "_lock", "_derived")
 
     def __init__(self, c: int):
+        c = operator.index(c)
         if c < 1:
             raise ValueError(f"parameter c must be a positive integer, got {c}")
         self.c = c
         self._a = [-1, 0, 1]
         self._lock = threading.Lock()
         self._derived: dict = {}  # memo space for derived tables, guarded by _lock
+
+    def memo(self, key, build):
+        """The table stored under key, storing build() first if there is none.
+
+        build runs outside the lock, so concurrent callers may each build one
+        key; the first value stored wins, and every caller gets that value.
+        """
+        if key in self._derived:
+            return self._derived[key]
+        value = build()
+        with self._lock:
+            return self._derived.setdefault(key, value)
 
     def a(self, n: int) -> int:
         """n-th sequence value; n must be >= 0."""

@@ -8,8 +8,6 @@ exponent coordinate change (d1, d2) -> (e1, e2).
 """
 from __future__ import annotations
 
-import threading
-
 from .combinat import ChiTable, ClusterContext
 from .laurent import ONE, X1, X2, InexactDivisionError, LaurentPoly2
 
@@ -26,12 +24,8 @@ class ExpansionStructureError(RuntimeError):
         self.c, self.n, self.e1, self.e2 = c, n, e1, e2
 
 
-_xvars: dict[int, list[LaurentPoly2]] = {}
-_xvars_lock = threading.Lock()
-
-
 def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
-    """x_n computed by iterating the recurrence; memoized per (c, n).
+    """x_n computed by iterating the recurrence; each x_k memoized in ctx.
 
     Requires c >= 2 and n >= 1.  Every division along the way must be
     exact; an InexactDivisionError here would indicate a bug, and it is
@@ -41,19 +35,17 @@ def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
         raise ValueError(f"cluster variables require c >= 2, got c={ctx.c}")
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    with _xvars_lock:
-        xs = _xvars.setdefault(ctx.c, [None, X1, X2])
-        while len(xs) <= n:
-            k = len(xs)
-            try:
-                xs.append((xs[k - 1] ** ctx.c + ONE).exact_div(xs[k - 2]))
-            except InexactDivisionError as exc:
-                raise InexactDivisionError(
-                    f"recurrence step k={k} for c={ctx.c}, "
-                    f"x_{k} = (x_{k - 1}^{ctx.c} + 1) / x_{k - 2}: {exc}",
-                    exc.remainder,
-                ) from exc
-        return xs[n]
+    xs = [None, X1, X2]
+    for k in range(3, n + 1):
+        try:
+            xs.append(ctx.memo(("x", k), lambda: (xs[-1] ** ctx.c + ONE).exact_div(xs[-2])))
+        except InexactDivisionError as exc:
+            raise InexactDivisionError(
+                f"recurrence step k={k} for c={ctx.c}, "
+                f"x_{k} = (x_{k - 1}^{ctx.c} + 1) / x_{k - 2}: {exc}",
+                exc.remainder,
+            ) from exc
+    return xs[n]
 
 
 def scalar_cluster_value(c: int, n: int) -> int:

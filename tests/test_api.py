@@ -85,3 +85,25 @@ def test_identities_takes_only_cell_sum_and_classes_from_closedform():
     assert {name for source, name in pairs if source == "closedform"} == {
         "_chi_sum", "_leaves",
     }
+
+
+def test_no_module_level_mutable_state_outside_cli():
+    # a memo belongs to the ClusterContext that owns its tables; a module-level
+    # dict, list, set or lock would be a hidden memo shared by every caller
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign):
+                names = [getattr(t, "id", None) for t in node.targets]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                names = [getattr(node.target, "id", None)]
+            else:
+                continue
+            func = getattr(node.value, "func", None)
+            lock = getattr(func, "attr", getattr(func, "id", None)) in ("Lock", "RLock")
+            if names != ["__all__"] and (isinstance(node.value, containers) or lock):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -189,6 +189,7 @@ CORRUPTIONS = [
     ("expand", "cluster_var_formula", lambda f: lambda ctx, n: X1),
     ("v2", "cluster_var_formula_v2", lambda f: lambda ctx, n: X1),
     ("chi", "chi_table_from_formula", lambda f: lambda ctx, n: _bump_corner(f(ctx, n))),
+    ("chi", "chi_from_expansion", lambda f: lambda ctx, n: replace(f(ctx, n), dim_vector=(0, 0))),
     ("chi", "chi_formula", lambda f: lambda *cell: 1),
     ("coeffsum", "scalar_cluster_value", lambda f: lambda c, n: f(c, n) + 1),
     ("denominator", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) * X1),

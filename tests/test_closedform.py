@@ -142,20 +142,25 @@ class TestGrouping:
 
     def test_concurrent_memo_fill_matches_serial(self):
         # the README states the context memos are safe for concurrent readers;
-        # four threads race to fill the leaves and rows memos of one context
+        # four threads race to fill the leaves, rows and recurrence memos of
+        # one context, and all get the first value stored
         n = 8
         serial_ctx = ClusterContext(3)
         serial = (chi_table_from_formula(serial_ctx, n), cluster_var_formula(serial_ctx, n))
+        serial_rec = cluster_var_recurrence(serial_ctx, n)
         ctx = ClusterContext(3)
         barrier = threading.Barrier(4)
         results = [None] * 4
+        recs = [None] * 4
 
         def work(i):
             barrier.wait(timeout=60)
             if i % 2:
                 poly = cluster_var_formula(ctx, n)
+                recs[i] = cluster_var_recurrence(ctx, n)
                 results[i] = (chi_table_from_formula(ctx, n), poly)
             else:
+                recs[i] = cluster_var_recurrence(ctx, n)
                 results[i] = (chi_table_from_formula(ctx, n), cluster_var_formula(ctx, n))
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
@@ -170,6 +175,8 @@ class TestGrouping:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [serial] * 4
+        assert all(rec is recs[0] for rec in recs)
+        assert recs[0] == serial_rec
 
 
 class TestChiFormula:

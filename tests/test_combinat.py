@@ -73,6 +73,8 @@ class TestASeq:
     def test_invalid_parameter_rejected(self):
         with pytest.raises(ValueError):
             ClusterContext(0)
+        with pytest.raises(TypeError):
+            ClusterContext(2.0)
 
     def test_window_identity(self):
         # a_{n-1}*a_{n-3} - a_{n-2}^2 == -1, down to index 0

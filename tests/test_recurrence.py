@@ -1,8 +1,8 @@
 import pickle
+import threading
 
 import pytest
 
-from rank2cluster import recurrence
 from rank2cluster.combinat import ClusterContext
 from rank2cluster.laurent import ONE, InexactDivisionError, LaurentPoly2
 from rank2cluster.recurrence import (
@@ -122,23 +122,17 @@ def test_coefficients_observed_nonnegative():
 
 
 def test_inexact_step_names_c_and_k():
-    # poison the memoized x_3 of a c no other test uses; step 4 divides by
-    # the monomial x_2 and stays exact, step 5 divides by the poisoned x_3
+    # poison x_3 in a fresh context's memo; step 4 divides by the monomial
+    # x_2 and stays exact, step 5 divides by the poisoned x_3
     c = 11
-    saved = recurrence._xvars.pop(c, None)
-    try:
-        ctx = ClusterContext(c)
-        x3 = cluster_var_recurrence(ctx, 3)
-        recurrence._xvars[c][3] = x3 + ONE
-        with pytest.raises(InexactDivisionError) as exc:
-            cluster_var_recurrence(ctx, 5)
-        assert "step k=5 for c=11" in str(exc.value)
-        assert exc.value.remainder  # nonzero, kept from the division
-        assert exc.value.remainder is exc.value.__cause__.remainder
-    finally:
-        recurrence._xvars.pop(c, None)
-        if saved is not None:
-            recurrence._xvars[c] = saved
+    x3 = cluster_var_recurrence(ClusterContext(c), 3)
+    ctx = ClusterContext(c)
+    ctx.memo(("x", 3), lambda: x3 + ONE)
+    with pytest.raises(InexactDivisionError) as exc:
+        cluster_var_recurrence(ctx, 5)
+    assert "step k=5 for c=11" in str(exc.value)
+    assert exc.value.remainder  # nonzero, kept from the division
+    assert exc.value.remainder is exc.value.__cause__.remainder
 
 
 @pytest.mark.parametrize(
@@ -151,24 +145,51 @@ def test_inexact_step_names_c_and_k():
     ],
 )
 def test_structure_error_names_c_n_and_cell(extra, e1, e2, words):
-    # poison the memoized x_3 = (x2^13 + 1) / x1 of a c no other test uses;
-    # its cells are (0, 0) and (1, 0) in the box (a_2, a_1) = (1, 0)
+    # poison x_3 = (x2^13 + 1) / x1 in a fresh context's memo; its cells are
+    # (0, 0) and (1, 0) in the box (a_2, a_1) = (1, 0)
     c = 13
-    saved = recurrence._xvars.pop(c, None)
+    x3 = cluster_var_recurrence(ClusterContext(c), 3)
+    ctx = ClusterContext(c)
+    ctx.memo(("x", 3), lambda: x3 + LaurentPoly2(extra))
+    with pytest.raises(ExpansionStructureError) as exc:
+        chi_from_expansion(ctx, 3)
+    err = exc.value
+    assert words in str(err)
+    assert (err.c, err.n, err.e1, err.e2) == (c, 3, e1, e2)
+    back = pickle.loads(pickle.dumps(err))  # crosses verify --jobs workers
+    assert (str(back), back.c, back.n, back.e1, back.e2) == (
+        str(err), c, 3, e1, e2,
+    )
+
+
+def test_memo_build_holds_no_lock():
+    # while one thread sits inside a memo build of a c=2 context, another
+    # key of that context and a recurrence at another c must both finish
+    ctx = ClusterContext(2)
+    entered, release = threading.Event(), threading.Event()
+    held = []
+
+    def blocked_build():
+        entered.set()
+        release.wait(timeout=60)
+        return "built"
+
+    def other_work():
+        held.append(cluster_var_recurrence(ClusterContext(3), 7))
+        held.append(cluster_var_recurrence(ctx, 6))
+
+    blocker = threading.Thread(target=lambda: held.append(ctx.memo("blocked", blocked_build)))
+    worker = threading.Thread(target=other_work)
     try:
-        ctx = ClusterContext(c)
-        x3 = cluster_var_recurrence(ctx, 3)
-        recurrence._xvars[c][3] = x3 + LaurentPoly2(extra)
-        with pytest.raises(ExpansionStructureError) as exc:
-            chi_from_expansion(ctx, 3)
-        err = exc.value
-        assert words in str(err)
-        assert (err.c, err.n, err.e1, err.e2) == (c, 3, e1, e2)
-        back = pickle.loads(pickle.dumps(err))  # crosses verify --jobs workers
-        assert (str(back), back.c, back.n, back.e1, back.e2) == (
-            str(err), c, 3, e1, e2,
-        )
+        blocker.start()
+        assert entered.wait(timeout=60)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
     finally:
-        recurrence._xvars.pop(c, None)
-        if saved is not None:
-            recurrence._xvars[c] = saved
+        release.set()
+    blocker.join(timeout=60)
+    assert not blocker.is_alive()
+    assert held[0] == cluster_var_recurrence(ClusterContext(3), 7)
+    assert held[1] == cluster_var_recurrence(ClusterContext(2), 6)
+    assert held[2] == "built" and ctx.memo("blocked", lambda: "other") == "built"
