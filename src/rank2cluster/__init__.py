@@ -7,14 +7,7 @@ quiver Grassmannian cells fall out of either route and every identity
 connecting them is executable and tested.
 """
 
-from .combinat import (
-    ChiTable,
-    ClusterContext,
-    SPrefix,
-    euler_form,
-    mod_binom,
-    s_prefix_extend,
-)
+from .combinat import ChiTable, ClusterContext, euler_form, mod_binom
 from .laurent import ONE, X1, X2, InexactDivisionError, LaurentPoly2
 from .recurrence import (
     ExpansionStructureError,
@@ -41,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClusterContext",
-    "SPrefix",
     "RationalPoly",
     "LaurentPoly2",
     "ChiTable",
@@ -52,7 +44,6 @@ __all__ = [
     "ONE",
     "mod_binom",
     "euler_form",
-    "s_prefix_extend",
     "cluster_var_recurrence",
     "scalar_cluster_value",
     "chi_from_expansion",

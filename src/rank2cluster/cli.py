@@ -239,7 +239,7 @@ def _check_invariance(ctx: ClusterContext, n: int, seed: int):
     for e1 in range(an1 + 1):
         for e2 in range(an2 + 1):
             want = chi_formula(ctx, n, e1, e2)
-            for stage in range(-1, n - 3):
+            for stage in range(-1, n - 4):  # stage n-4 is the cell value itself
                 if staged_chi_sum(ctx, n, e1, e2, stage) != want:
                     return False, f"stage {stage} differs at ({e1},{e2})"
     return True, "all stages equal the cell value on the full box"

@@ -1,11 +1,12 @@
 """Closed-form route: constrained-sum expansions and characteristic values.
 
-The admissible tuples are enumerated once per depth.  A tuple enters every
-sum only through its binomial product and its last two partial sums
-(s_{n-3}, s_{n-4}), so the tuples are summed into classes by those two
-sums (_leaves: 10761 tuples become 514 classes at c=2, n=40).  Each class
-then fixes the middle binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4}) of
-every e2 row it reaches, and the trailing factor depends only on e2 and
+The admissible tuples are enumerated once per depth, by one walk
+(enumerate_admissible) that carries each tuple's partial sums and its
+binomial product as it descends.  A tuple enters every sum only through
+that product and its last two partial sums (s_{n-3}, s_{n-4}), so the
+tuples are summed into classes by those two sums (_leaves: 10761 tuples
+become 514 classes at c=2, n=40).  Each class then fixes the middle
+binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4}) of every e2 row it reaches, and the trailing factor depends only on e2 and
 e1 - s_{n-3}.  So one per-row table (_rows) holds, for each e2, the
 middle-weighted class sum A per s_{n-3} value; both the cell values
 (chi_formula) and the expansion (cluster_var_formula) are read from it,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .combinat import ChiTable, ClusterContext, SPrefix, mod_binom, s_prefix_extend
+from .combinat import ChiTable, ClusterContext, mod_binom
 from .laurent import LaurentPoly2
 
 
@@ -43,28 +44,40 @@ def _require(ctx: ClusterContext, n: int) -> None:
         raise ValueError(f"requires n >= 3, got {n}")
 
 
+def _binom_step(b: int, t: int, j: int) -> int:
+    """C(t, j+1) from b = C(t, j), j >= 0; exact for every integer t, t < 0 too."""
+    return b * (t - j) // (j + 1)
+
+
 def enumerate_admissible(
     ctx: ClusterContext, n: int, depth: int
-) -> Iterator[SPrefix]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Depth-first stream of admissible tuples (t_0, ..., t_{depth-1}).
 
-    Each tuple arrives as its SPrefix, entries with partial sums.  Level i
-    admits 0 <= t_i <= a_{i+1} - c*s_i, the bound recomputed from the
-    running prefix; a branch whose bound goes negative yields nothing.
-    Requires 0 <= depth <= n - 3.
+    Each tuple arrives as (entries, s_values, weight).  s_values holds the
+    partial sums s_0, ..., s_depth, s_i = sum of a_{i-j+1}*t_j over j < i,
+    built by s_{i+1} = c*s_i - s_{i-1} + t_i; weight is the product of the
+    binomials C(a_{i+1} - c*s_i, t_i).  Level i admits
+    0 <= t_i <= a_{i+1} - c*s_i; a branch whose bound goes negative yields
+    nothing.  Requires 0 <= depth <= n - 3.
     """
     if not (0 <= depth <= n - 3):
         raise ValueError(f"depth must lie in [0, n-3] = [0, {n - 3}], got {depth}")
+    c = ctx.c
 
-    def rec(prefix: SPrefix, i: int):
+    def rec(entries: tuple, s_values: tuple, weight: int, i: int):
         if i == depth:
-            yield prefix
+            yield entries, s_values, weight
             return
-        top = ctx.a(i + 1) - ctx.c * prefix.s_values[i]
+        s_i = s_values[i]
+        top = ctx.a(i + 1) - c * s_i
+        base = c * s_i - (s_values[i - 1] if i else 0)  # s_{i+1} at t_i = 0
+        b = 1
         for t in range(top + 1):
-            yield from rec(s_prefix_extend(ctx, prefix, t), i + 1)
+            yield from rec(entries + (t,), s_values + (base + t,), weight * b, i + 1)
+            b = _binom_step(b, top, t)
 
-    yield from rec(SPrefix.empty(), 0)
+    yield from rec((), (0,), 1, 0)
 
 
 def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]:
@@ -75,23 +88,13 @@ def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]
     whose weight is the sum of their products (at least 1).
     """
     def build():
-        c = ctx.c
         weights: dict[tuple[int, int], int] = {}
-        for prefix in enumerate_admissible(ctx, depth + 3, depth):
-            sv = prefix.s_values
-            prod = 1
-            for i, t in enumerate(prefix.entries):
-                prod *= mod_binom(ctx.a(i + 1) - c * sv[i], t)
+        for _, sv, weight in enumerate_admissible(ctx, depth + 3, depth):
             k = (sv[depth], sv[depth - 1] if depth >= 1 else 0)
-            weights[k] = weights.get(k, 0) + prod
+            weights[k] = weights.get(k, 0) + weight
         return tuple((w, s_last, s_prev) for (s_last, s_prev), w in weights.items())
 
     return ctx.memo(("leaves", depth), build)
-
-
-def _binom_step(b: int, t: int, j: int) -> int:
-    """C(t, j+1) from b = C(t, j), j >= 0; exact for every integer t, t < 0 too."""
-    return b * (t - j) // (j + 1)
 
 
 def _rows(ctx: ClusterContext, n: int) -> dict[int, tuple[tuple[int, int], ...]]:

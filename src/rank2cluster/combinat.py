@@ -1,11 +1,13 @@
-"""Integer sequences, extended binomials, and weighted prefix sums.
+"""Integer sequences, extended binomials, and the shared table types.
 
 Everything downstream (both expansion routes, the characteristic tables,
-the identity checks) is built from three ingredients defined here: the
-denominator sequence attached to the parameter c, a binomial coefficient
-extended to arbitrary integer arguments, and running weighted sums of
-tuple entries against that sequence.  The characteristic table type that
-both routes fill lives here too, so neither route imports the other.
+the identity checks) is built from two ingredients defined here: the
+denominator sequence attached to the parameter c, and a binomial
+coefficient extended to arbitrary integer arguments.  The running
+weighted sums of tuple entries against that sequence are built by the
+closed form's tuple walk (closedform.enumerate_admissible).  The
+characteristic table type that both routes fill lives here too, so
+neither route imports the other.
 """
 from __future__ import annotations
 
@@ -83,36 +85,6 @@ class ClusterContext:
 def euler_form(ctx: ClusterContext, d: tuple[int, int], f: tuple[int, int]) -> int:
     """Bilinear form <d, f> = d1*f1 + d2*f2 - c*d1*f2 on dimension pairs."""
     return d[0] * f[0] + d[1] * f[1] - ctx.c * d[0] * f[1]
-
-
-@dataclass(frozen=True)
-class SPrefix:
-    """Tuple entries t_0..t_k with their weighted partial sums s_0..s_{k+1}.
-
-    s_i is the sum of a_{i-j+1}*t_j over j < i, equivalently the recurrence
-    s_i = c*s_{i-1} - s_{i-2} + t_{i-1} with s_i = 0 for i <= 0.
-    """
-
-    entries: tuple[int, ...]
-    s_values: tuple[int, ...]
-
-    @classmethod
-    def empty(cls) -> "SPrefix":
-        return cls((), (0,))
-
-    def s(self, i: int) -> int:
-        """s_i, with the empty-sum convention s_i = 0 for i <= 0."""
-        if i <= 0:
-            return 0
-        return self.s_values[i]
-
-
-def s_prefix_extend(ctx: ClusterContext, prefix: SPrefix, t_next: int) -> SPrefix:
-    """Append one tuple entry and the next partial sum."""
-    s_prev = prefix.s_values[-1]
-    s_prev2 = prefix.s_values[-2] if len(prefix.s_values) >= 2 else 0
-    s_new = ctx.c * s_prev - s_prev2 + t_next
-    return SPrefix(prefix.entries + (t_next,), prefix.s_values + (s_new,))
 
 
 @dataclass(frozen=True)

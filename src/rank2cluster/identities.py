@@ -9,7 +9,9 @@ Three independently checkable facts live here:
   which agree with the cell value chi(e1, e2);
 * the vanishing of the cell value whenever e2*a_{n-1} - e1*a_{n-2} < 0,
   which at stage -1 is visible termwise: the leading indicator factor of
-  every stage -1 summand is zero once that pairing is negative.
+  every stage -1 summand is zero once that pairing is negative.  The
+  stages 0..n-5 bound their weights by other pairings, so their vanishing
+  there is what vanishing_check tests.
 
 Stages below n-4 replace trailing tuple entries by weight variables
 w_1, w_2, ... >= 0 with their own partial sums v_i; the stage -1 form has
@@ -129,8 +131,6 @@ def staged_chi_sum(
     a_5, but n <= 5 keeps m <= 2, so only the r = 0 cap is used, and it
     needs only a_2 = 1.  The same loops therefore run for every c.
     """
-    if ctx.c < 1:
-        raise ValueError(f"requires c >= 1, got c={ctx.c}")
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
     if not (-1 <= stage <= n - 4):
@@ -225,13 +225,18 @@ def staged_chi_sum(
 
 
 def vanishing_check(ctx: ClusterContext, n: int, e1: int, e2: int) -> bool:
-    """True iff the cell sum is exactly zero; requires a negative pairing.
+    """True iff the cell sum and the staged sums below it are exactly zero.
 
-    Accepts c >= 1.  The hypothesis e2*a_{n-1} - e1*a_{n-2} < 0 is part of
-    the contract; outside it the question answered here is not meaningful.
+    Accepts c >= 1 and requires a negative pairing: the hypothesis
+    e2*a_{n-1} - e1*a_{n-2} < 0 is part of the contract; outside it the
+    question answered here is not meaningful.  That hypothesis is the very
+    guard on which the cell sum returns before its first term (and stage -1
+    caps its weights by the same pairing), so neither can fail here.  The
+    staged sums of stages 0..n-5 cap their weights by other pairings,
+    e2*a_{n-2-j} - e1*a_{n-3-j}, and each of them must be 0 too.  Those
+    stages exist for c >= 2 with n >= 5 and for c = 1 with n = 5; at n = 4,
+    and for c = 1 with n >= 6, the check stays definitional.
     """
-    if ctx.c < 1:
-        raise ValueError(f"requires c >= 1, got c={ctx.c}")
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
     if e2 * ctx.a(n - 1) - e1 * ctx.a(n - 2) >= 0:
@@ -239,4 +244,7 @@ def vanishing_check(ctx: ClusterContext, n: int, e1: int, e2: int) -> bool:
             f"vanishing_check requires e2*a_{n-1} - e1*a_{n-2} < 0, "
             f"got ({e1}, {e2})"
         )
-    return _chi_sum(ctx, n, e1, e2) == 0
+    if _chi_sum(ctx, n, e1, e2):
+        return False
+    last = n - 5 if ctx.c >= 2 or n <= 5 else -1
+    return all(staged_chi_sum(ctx, n, e1, e2, j) == 0 for j in range(last + 1))

@@ -10,6 +10,19 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "rank2cluster"
 
 
+def test_exported_names_are_pinned():
+    # adding or removing a public name must show up as a diff of this set
+    assert set(rank2cluster.__all__) == {
+        "ClusterContext", "RationalPoly", "LaurentPoly2", "ChiTable",
+        "InexactDivisionError", "ExpansionStructureError", "X1", "X2", "ONE",
+        "mod_binom", "euler_form", "cluster_var_recurrence", "scalar_cluster_value",
+        "chi_from_expansion", "chi_formula", "chi_formula_summands",
+        "chi_table_from_formula", "cluster_var_formula", "cluster_var_formula_v2",
+        "enumerate_admissible", "staged_chi_sum", "vandermonde_sides", "vanishing_check",
+    }
+    assert len(rank2cluster.__all__) == len(set(rank2cluster.__all__))
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in rank2cluster.__all__ if not hasattr(rank2cluster, name)]
     assert missing == []

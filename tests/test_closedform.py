@@ -25,10 +25,10 @@ from rank2cluster.recurrence import chi_from_expansion, cluster_var_recurrence
 class TestEnumerateAdmissible:
     def test_depth_one_single_tuple(self):
         got = list(enumerate_admissible(ClusterContext(2), 4, 1))
-        assert [p.entries for p in got] == [(0,)]
+        assert [entries for entries, _, _ in got] == [(0,)]
 
     def test_depth_two_bound_unrolls(self):
-        got = [p.entries for p in enumerate_admissible(ClusterContext(2), 5, 2)]
+        got = [entries for entries, _, _ in enumerate_admissible(ClusterContext(2), 5, 2)]
         assert got == [(0, 0), (0, 1)]
 
     def test_count_matches_unpruned_box_scan(self):
@@ -56,17 +56,33 @@ class TestEnumerateAdmissible:
         # the prefix (0, 1, 0) reaches bound a_4 - 2*s_3 = -1 at level 3;
         # enumeration must drop it silently
         ctx = ClusterContext(2)
-        tuples = [p.entries for p in enumerate_admissible(ctx, 7, 4)]
+        tuples = [entries for entries, _, _ in enumerate_admissible(ctx, 7, 4)]
         assert all(not t[:3] == (0, 1, 0) for t in tuples)
         assert len(tuples) == len(set(tuples))
 
     def test_level_bounds_nonnegative_on_stream(self):
         for c, n in ((2, 8), (3, 6)):
             ctx = ClusterContext(c)
-            for prefix in enumerate_admissible(ctx, n, n - 3):
-                for i, t in enumerate(prefix.entries):
-                    top = ctx.a(i + 1) - c * prefix.s_values[i]
+            for entries, sv, _ in enumerate_admissible(ctx, n, n - 3):
+                for i, t in enumerate(entries):
+                    top = ctx.a(i + 1) - c * sv[i]
                     assert 0 <= t <= top
+
+    def test_stream_partial_sums_and_weights(self):
+        # s_i from its defining weighted sum, the weight from math.comb, both
+        # recomputed from the entries alone
+        for c, n in ((2, 9), (3, 7), (4, 6)):
+            ctx = ClusterContext(c)
+            for depth in range(n - 2):
+                for entries, sv, weight in enumerate_admissible(ctx, n, depth):
+                    assert len(entries) == depth and len(sv) == depth + 1
+                    for i in range(depth + 1):
+                        want = sum(ctx.a(i - j + 1) * entries[j] for j in range(i))
+                        assert sv[i] == want, (c, n, entries, i)
+                    prod = 1
+                    for i, t in enumerate(entries):
+                        prod *= comb(ctx.a(i + 1) - c * sv[i], t)
+                    assert weight == prod, (c, n, entries)
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -79,10 +95,9 @@ def tuple_leaves(ctx, n):
     """(product, s_{n-3}, s_{n-4}) per admissible tuple, one entry per tuple."""
     depth = n - 3
     out = []
-    for prefix in enumerate_admissible(ctx, n, depth):
-        sv = prefix.s_values
+    for entries, sv, _ in enumerate_admissible(ctx, n, depth):
         prod = 1
-        for i, t in enumerate(prefix.entries):
+        for i, t in enumerate(entries):
             prod *= comb(ctx.a(i + 1) - ctx.c * sv[i], t)
         out.append((prod, sv[depth], sv[depth - 1] if depth >= 1 else 0))
     return out

@@ -5,6 +5,7 @@ import pytest
 
 from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ClusterContext, mod_binom
+from rank2cluster import identities
 from rank2cluster.identities import (
     RationalPoly,
     staged_chi_sum,
@@ -250,6 +251,18 @@ class TestVanishing:
         assert vanishing_check(ClusterContext(2), 4, 1, 0) is True
         assert vanishing_check(ClusterContext(3), 5, 2, 0) is True
         assert vanishing_check(ClusterContext(1), 5, 1, 0) is True
+
+    def test_nonzero_staged_sum_fails(self, monkeypatch):
+        # the cell sum is 0 by its own guard under the hypothesis, so only the
+        # stages 0..n-5 give the check content
+        real = identities.staged_chi_sum
+        monkeypatch.setattr(
+            identities, "staged_chi_sum",
+            lambda ctx, n, e1, e2, stage: 1 if stage == 0 else real(ctx, n, e1, e2, stage),
+        )
+        assert vanishing_check(ClusterContext(3), 5, 2, 0) is False
+        assert vanishing_check(ClusterContext(1), 5, 1, 0) is False
+        assert vanishing_check(ClusterContext(2), 4, 1, 0) is True  # no stage 0 at n = 4
 
     def test_hypothesis_required(self):
         with pytest.raises(ValueError):
