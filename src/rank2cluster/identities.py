@@ -233,9 +233,9 @@ def vanishing_check(ctx: ClusterContext, n: int, e1: int, e2: int) -> bool:
     guard on which the cell sum returns before its first term (and stage -1
     caps its weights by the same pairing), so neither can fail here.  The
     staged sums of stages 0..n-5 cap their weights by other pairings,
-    e2*a_{n-2-j} - e1*a_{n-3-j}, and each of them must be 0 too.  Those
-    stages exist for c >= 2 with n >= 5 and for c = 1 with n = 5; at n = 4,
-    and for c = 1 with n >= 6, the check stays definitional.
+    e2*a_{n-2-j} - e1*a_{n-3-j}, and each of them must be 0 too.  Which
+    stages those are is _vanishing_stages(ctx, n); where it is empty the
+    check stays definitional.
     """
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
@@ -246,5 +246,14 @@ def vanishing_check(ctx: ClusterContext, n: int, e1: int, e2: int) -> bool:
         )
     if _chi_sum(ctx, n, e1, e2):
         return False
-    last = n - 5 if ctx.c >= 2 or n <= 5 else -1
-    return all(staged_chi_sum(ctx, n, e1, e2, j) == 0 for j in range(last + 1))
+    return all(staged_chi_sum(ctx, n, e1, e2, j) == 0 for j in _vanishing_stages(ctx, n))
+
+
+def _vanishing_stages(ctx: ClusterContext, n: int) -> range:
+    """The stages below the cell value that vanishing_check evaluates at (c, n).
+
+    They are 0..n-5, which exist for c >= 2 with n >= 5 and for c = 1 with
+    n = 5.  The range is empty at n <= 4, and for c = 1 with n >= 6, where
+    staged_chi_sum rejects every stage.
+    """
+    return range(n - 4) if ctx.c >= 2 or n <= 5 else range(0)

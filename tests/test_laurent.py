@@ -58,11 +58,25 @@ def test_exact_div_monomial():
 
 
 def test_exact_div_inexact_raises_with_remainder():
+    # a nonzero row is left below the divisor's top row
     q = ONE + X2**2
     p = q**2 + X1**2
     with pytest.raises(InexactDivisionError) as exc:
         p.exact_div(q)
     assert exc.value.remainder == X1**2
+
+
+@pytest.mark.parametrize(
+    "p, q, remainder",
+    [
+        (3 * X1, 2 * X1, 3 * X1),  # indivisible leading coefficient
+        (X2 + 1, X1 * X2 + 1, ONE + X2),  # leading x1 exponent below the divisor's
+    ],
+)
+def test_exact_div_remainder_at_each_failure_exit(p, q, remainder):
+    with pytest.raises(InexactDivisionError) as exc:
+        p.exact_div(q)
+    assert exc.value.remainder == remainder
 
 
 def test_exact_div_laurent_divisor():
@@ -137,6 +151,21 @@ def test_mul_round_trips_through_exact_div(p, q):
     if q.is_zero():
         return
     assert (p * q).exact_div(q) == p
+
+
+@given(small_polys, small_polys)
+def test_exact_div_succeeds_or_reports_a_true_remainder(p, q):
+    # either q divides p, or p - remainder is a multiple of q
+    if q.is_zero():
+        return
+    try:
+        quot = p.exact_div(q)
+    except InexactDivisionError as exc:
+        r = exc.remainder
+        assert not r.is_zero()
+        (p - r).exact_div(q)
+    else:
+        assert quot * q == p
 
 
 @given(small_polys, st.integers(0, 6))
