@@ -5,19 +5,23 @@ The admissible tuples are enumerated once per depth, by one walk
 binomial product as it descends.  A tuple enters every sum only through
 that product and its last two partial sums (s_{n-3}, s_{n-4}), so the
 tuples are summed into classes by those two sums (_leaves: 10761 tuples
-become 514 classes at c=2, n=40).  Each class then fixes the middle
-binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4}) of every e2 row it reaches, and the trailing factor depends only on e2 and
-e1 - s_{n-3}.  So one per-row table (_rows) holds, for each e2, the
-middle-weighted class sum A per s_{n-3} value; both the cell values
-(chi_formula) and the expansion (cluster_var_formula) are read from it,
-the expansion by scattering each row along one shared row of trailing
-binomials.
+become 514 classes at c=2, n=40).  Every factor past the classes is read
+from one row of extended binomials C(t, 0), C(t, 1), ... (_binom_row).
 
-The second expansion builder (cluster_var_formula_v2) does not read that
-table: it routes every factor through the substituted tuple entries
-t_{n-3}, t_{n-2} and their extended partial sums, class by class, so exact
-agreement of the two is a nontrivial check of the change of variables
-connecting them.
+Each class fixes the middle binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4})
+of every e2 row it reaches, and the trailing factor depends only on e2
+and e1 - s_{n-3}.  So one table (_rows) holds, for each e2, the
+middle-weighted class sum A per s_{n-3} value; the cell values
+(chi_formula) and the expansion (cluster_var_formula) are read from it,
+the expansion by scattering each e2 row along one trailing row, cut at
+e1 <= floor(e2*a_{n-1}/a_{n-2}) by the support inequality.
+
+The second builder (cluster_var_formula_v2) reads neither: it stays in the
+substituted entries t_{n-3}, t_{n-2} and their extended partial sums, with
+one trailing row in t_{n-2} per class and t_{n-3}, cut by the same
+inequality in those coordinates.  The cuts agree only by floor(e2*a_{n-1}/
+a_{n-2}) = a_{n-1} - ceil(s_{n-2}*a_{n-1}/a_{n-2}), e2 = a_{n-2} - s_{n-2},
+so exact agreement checks the change of variables connecting them.
 
 A cell value chi(e1, e2) is the same constrained sum restricted to one
 cell.  Its summation conditions are exactly those of the full expansion,
@@ -47,6 +51,16 @@ def _require(ctx: ClusterContext, n: int) -> None:
 def _binom_step(b: int, t: int, j: int) -> int:
     """C(t, j+1) from b = C(t, j), j >= 0; exact for every integer t, t < 0 too."""
     return b * (t - j) // (j + 1)
+
+
+def _binom_row(t: int, width: int) -> list[int]:
+    """[C(t, 0), ..., C(t, width-1)] for any integer t; ends at C(t, t) when t >= 0."""
+    if t >= 0:
+        width = min(width, t + 1)
+    row = [1] * width
+    for j in range(1, width):
+        row[j] = _binom_step(row[j - 1], t, j - 1)
+    return row
 
 
 def enumerate_admissible(
@@ -111,11 +125,9 @@ def _rows(ctx: ClusterContext, n: int) -> dict[int, tuple[tuple[int, int], ...]]
         acc: dict[int, dict[int, int]] = {}
         for weight, s_last, s_prev in _leaves(ctx, n - 3):
             top = an2 - ctx.c * s_last
-            b = 1
-            for k in range(top + 1):
+            for k, b in enumerate(_binom_row(top, top + 1)):
                 row = acc.setdefault(s_prev + k, {})
                 row[s_last] = row.get(s_last, 0) + weight * b
-                b = _binom_step(b, top, k)
         return {e2: tuple(sorted(row.items())) for e2, row in sorted(acc.items())}
 
     return ctx.memo(("rows", n), build)
@@ -194,86 +206,59 @@ def chi_table_from_formula(ctx: ClusterContext, n: int) -> ChiTable:
     return ChiTable(ctx.c, n, (an1, an2), entries)
 
 
-def _e1_upper(ctx: ClusterContext, n: int, e2: int, s_last: int) -> int:
-    # third summation condition; n = 3 has a_{n-2} = 0 and the last
-    # binomial's own support bound takes over (e2 is forced to 0 there)
-    an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-    if an2 > 0:
-        return (e2 * an1) // an2
-    return -ctx.a(n - 3) + ctx.c * e2 + s_last
-
-
 def cluster_var_formula(ctx: ClusterContext, n: int) -> LaurentPoly2:
     """x_n assembled cell by cell from the constrained sum.
 
     Each e2 row of the grouped table scatters its (s_last, A) pairs along
-    one shared row of trailing binomials C(t, j), t = c*e2 - a_{n-3}, into
-    the cells (s_last + j, e2) admitted by the support inequality.  Exactly
-    equal to the recurrence route.
+    one row of trailing binomials C(t, j), t = c*e2 - a_{n-3}, into the
+    cells (s_last + j, e2) up to the support inequality's bound on e1.
+    Exactly equal to the recurrence route.
     """
     _require(ctx, n)
     c = ctx.c
     an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
     terms: dict[tuple[int, int], int] = {}
     for e2, row in _rows(ctx, n).items():
-        t = c * e2 - an3
-        # e1 runs over [s_last, _e1_upper], so j = e1 - s_last over [0, span)
-        spans = [(s_last, max(_e1_upper(ctx, n, e2, s_last) - s_last + 1, 0), weight)
-                 for s_last, weight in row]
-        width = max(span for _, span, _ in spans)
-        if t >= 0:
-            width = min(width, t + 1)  # C(t, j) = 0 for j > t
-        binoms = [1] * width
-        for j in range(1, width):
-            binoms[j] = _binom_step(binoms[j - 1], t, j - 1)
+        # at n = 3, a_{n-2} = 0 and e2 = s_last = 0: the trailing row's own end
+        hi = e2 * an1 // an2 if an2 else c * e2 - an3
+        binoms = _binom_row(c * e2 - an3, hi - row[0][0] + 1)
         cells: dict[int, int] = {}
-        for s_last, span, weight in spans:
-            for j, b in enumerate(binoms[:span]):
-                cells[s_last + j] = cells.get(s_last + j, 0) + weight * b
+        for s_last, weight in row:
+            for e1, b in zip(range(s_last, hi + 1), binoms):
+                cells[e1] = cells.get(e1, 0) + weight * b
         d1 = c * (an2 - e2) - an1
         for e1, v in cells.items():
-            if v:
-                terms[(d1, c * e1 - an2)] = v
+            terms[(d1, c * e1 - an2)] = v
     return LaurentPoly2(terms)
 
 
 def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:
     """x_n through the substituted parametrization of the same sum.
 
-    The cell coordinates are traded for two extra tuple entries via
-    t_{n-3} = a_{n-2} - e2 - c*s_{n-3} + s_{n-4} and
-    t_{n-2} = (a_{n-1} - e1) - c*(a_{n-2} - e2) + s_{n-3}; every factor and
-    the output monomial are then expressed through the extended partial
-    sums s_{n-2}, s_{n-1}.  Term-for-term equality with
-    cluster_var_formula is the change of variables made executable.
+    The cell coordinates are traded for two extra tuple entries, with
+    s_{n-2} = c*s_{n-3} - s_{n-4} + t_{n-3} and s_{n-1} = c*s_{n-2} -
+    s_{n-3} + t_{n-2}.  Per class and t_{n-3}, the factors C(t_top, t_top -
+    t_{n-2}), t_top = a_{n-1} - c*s_{n-2}, are one row cut by the support
+    inequality s_{n-1}*a_{n-2} >= s_{n-2}*a_{n-1}, and each term lands on
+    (c*s_{n-2} - a_{n-1}, c*(a_{n-1} - s_{n-1}) - a_{n-2}).  Exact equality
+    with cluster_var_formula is the change of variables made executable.
     """
     _require(ctx, n)
     c = ctx.c
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-    cells: dict[tuple[int, int], int] = {}
-
+    terms: dict[tuple[int, int], int] = {}
     for weight, s_last, s_prev in _leaves(ctx, n - 3):
         top = an2 - c * s_last
-        for e2 in range(s_prev, top + s_prev + 1):
-            t_mid = an2 - e2 - c * s_last + s_prev
+        for t_mid, f_mid in enumerate(_binom_row(top, top + 1)):
             s_n2 = c * s_last - s_prev + t_mid
-            pm = weight * mod_binom(top, t_mid)
-            for e1 in range(s_last, _e1_upper(ctx, n, e2, s_last) + 1):
-                t_end = (an1 - e1) - c * (an2 - e2) + s_last
-                s_n1 = c * s_n2 - s_last + t_end
-                if s_n1 * an2 - s_n2 * an1 < 0:
-                    raise ArithmeticError(
-                        f"change of variables fails at (c, n, e1, e2) = "
-                        f"({c}, {n}, {e1}, {e2}): support inequality violated"
-                    )
-                f_end = mod_binom(an1 - c * s_n2, t_end)
-                if f_end:
-                    k = (c * s_n2, c * (an1 - s_n1))
-                    nv = cells.get(k, 0) + pm * f_end
-                    if nv:
-                        cells[k] = nv
-                    else:
-                        del cells[k]
-    return LaurentPoly2(
-        {(d1 - an1, d2 - an2): v for (d1, d2), v in cells.items()}
-    )
+            t_top = an1 - c * s_n2
+            s_top = c * s_n2 - s_last + t_top  # s_{n-1} at t_{n-2} = t_top
+            # t_{n-2} >= ceil(s_{n-2}*a_{n-1}/a_{n-2}) - c*s_{n-2} + s_{n-3}; at n = 3,
+            # a_{n-2} = 0, the only class is (1, 0, 0) and the row ends itself
+            t_lo = -(-s_n2 * an1 // an2) - c * s_n2 + s_last if an2 else 0
+            pm = weight * f_mid
+            d1 = c * s_n2 - an1
+            for j, f_end in enumerate(_binom_row(t_top, t_top - t_lo + 1)):
+                k = (d1, c * (an1 - s_top + j) - an2)
+                terms[k] = terms.get(k, 0) + pm * f_end
+    return LaurentPoly2(terms)

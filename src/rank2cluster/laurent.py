@@ -394,12 +394,12 @@ def _mul_kronecker(p: dict, q: dict) -> dict:
     del a, b
     digits = ctx.to_sci_string(prod)
     del prod
-    digits = digits.rjust(-(-len(digits) // k) * k, "0")
     out: dict[tuple[int, int], int] = {}
     base1 = p1lo + q1lo
     base2 = p2lo + q2lo
     for pos, end in enumerate(range(len(digits), 0, -k)):
-        chunk = digits[end - k : end]
+        # the leading block may be short, and it is never all zeros
+        chunk = digits[max(end - k, 0) : end]
         if chunk != zero:
             r, col = divmod(pos, width)
             out[(base1 + r * g1, base2 + col * g2)] = _digits_to_int(chunk)

@@ -120,3 +120,23 @@ def test_no_module_level_mutable_state_outside_cli():
             if names != ["__all__"] and (isinstance(node.value, containers) or lock):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _function_names(module: str) -> dict[str, set[str]]:
+    """Top-level function of rank2cluster.<module> -> every name its body reads."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    return {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def test_substituted_form_shares_only_classes_and_rows_with_closed_form():
+    # the two expansion builders check each other only while neither borrows
+    # the other's table or support bound
+    names = _function_names("closedform")
+    own = set(names)
+    v2, formula = names["cluster_var_formula_v2"], names["cluster_var_formula"]
+    assert (v2 & formula & own) <= {"_require", "_leaves", "_binom_row"}
+    assert v2 & {"_rows", "cluster_var_formula", "mod_binom", "e1", "e2"} == set()

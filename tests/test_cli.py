@@ -79,6 +79,65 @@ def test_chi_usage_errors(capsys):
     assert run_cli(capsys, "chi", "--c", "2", "--n", "2")[0] == 2
 
 
+CHI_ARGS = [
+    ("--format", "pretty"),
+    ("--format", "tsv"),
+    ("--format", "json"),
+    ("--e1", "2", "--e2", "1", "--format", "json"),
+    ("--e1", "2", "--e2", "1", "--format", "tsv"),
+]
+
+
+@pytest.mark.parametrize("extra", CHI_ARGS, ids=" ".join)
+def test_chi_methods_print_the_same(capsys, extra):
+    outs = {}
+    for method in ("formula", "recurrence", "both"):
+        code, out, _ = run_cli(capsys, "chi", "--c", "3", "--n", "5", "--method", method, *extra)
+        assert code == 0
+        outs[method] = out
+    assert outs["both"] == outs["formula"] + "MATCH\n"
+    assert outs["recurrence"] == outs["formula"]
+
+
+def test_chi_table_formats(capsys):
+    _, pretty, _ = run_cli(capsys, "chi", "--c", "2", "--n", "4", "--method", "formula")
+    _, tsv, _ = run_cli(
+        capsys, "chi", "--c", "2", "--n", "4", "--method", "formula", "--format", "tsv"
+    )
+    assert pretty == "# c=2 n=4 dim=(2,1)\n" + tsv
+    assert tsv == "0\t0\t1\n0\t1\t1\n1\t1\t2\n2\t1\t1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_expand_methods_print_the_same(capsys, fmt):
+    outs = {}
+    for method in ("formula", "v2", "recurrence", "both"):
+        code, out, _ = run_cli(
+            capsys, "expand", "--c", "3", "--n", "6", "--method", method, "--format", fmt
+        )
+        assert code == 0
+        outs[method] = out
+    assert outs["both"] == outs["formula"] + "MATCH\n"
+    assert outs["v2"] == outs["recurrence"] == outs["formula"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--c", "1", "--n", "4"),
+        ("verify", "--c", "0"),
+        ("verify", "--jobs", "0"),
+        ("verify", "--c", "1", "--suite", "grid"),  # no checks selected
+    ],
+    ids=" ".join,
+)
+def test_more_usage_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_subset_passes(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--c", "2", "--n-max", "5", "--suite", "grid"
@@ -101,6 +160,16 @@ def test_verify_json_is_byte_stable(capsys):
     assert report["all_passed"] is True
     names = [c["name"] for c in report["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_tsv(capsys):
+    args = ("verify", "--c", "2", "--n-max", "4", "--suite", "grid")
+    _, pretty, _ = run_cli(capsys, *args)
+    code, tsv, _ = run_cli(capsys, *args, "--format", "tsv")
+    assert code == 0
+    rows = [line.split("\t") for line in tsv.splitlines()]
+    assert all(len(row) == 3 and row[1] == "PASS" for row in rows)
+    assert [f"PASS {name}: {detail}" for name, _, detail in rows] == pretty.splitlines()[:-1]
 
 
 def test_verify_vandermonde_suite(capsys):
@@ -166,6 +235,31 @@ def test_module_entry_point():
     assert proc.returncode == 0
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
     assert rows[0] == ["-2", "-1", "1"]
+
+
+def test_package_main_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "rank2cluster", "expand", "--c", "2", "--n", "3",
+         "--format", "tsv"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "-1\t0\t1\n-1\t2\t1\nMATCH\n"
+
+
+def test_verify_under_optimize_flag():
+    # the checks raise instead of asserting, so python -O still runs each one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "rank2cluster", "verify", "--c", "2", "--n-max", "6",
+         "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["all_passed"] is True
+    assert sum(check["passed"] for check in report["checks"]) == 30
 
 
 def test_verify_parallel_jobs_match_serial(capsys):

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 
 from rank2cluster.closedform import (
+    _binom_row,
     _binom_step,
     _leaves,
     chi_formula,
@@ -154,6 +155,9 @@ class TestGrouping:
         for t in range(-15, 16):
             for j in range(21):
                 assert _binom_step(mod_binom(t, t - j), t, j) == mod_binom(t, t - j - 1)
+                # a row stops after C(t, t) when t >= 0, where the rest are zeros
+                width = min(j, t + 1) if t >= 0 else j
+                assert _binom_row(t, j) == [mod_binom(t, t - i) for i in range(width)]
 
     def test_concurrent_memo_fill_matches_serial(self):
         # the README states the context memos are safe for concurrent readers;
