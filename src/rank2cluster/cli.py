@@ -14,6 +14,7 @@ import os
 import random
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from .identities import (
     vandermonde_sides,
     vanishing_check,
 )
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, _int_to_digits
 from .recurrence import chi_from_expansion, cluster_var_recurrence, scalar_cluster_value
 
 # default verification grid: parameter -> largest index
@@ -58,14 +59,18 @@ def render_poly(poly: LaurentPoly2, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(poly.to_json_terms())
     if fmt == "tsv":
-        return "\n".join(f"{d1}\t{d2}\t{v}" for (d1, d2), v in poly.items())
+        return "\n".join(
+            f"{d1}\t{d2}\t{_int_to_digits(v)}" for (d1, d2), v in poly.items()
+        )
     return str(poly)
 
 
 def render_chi_table(table, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table.to_json_obj())
-    rows = "\n".join(f"{e1}\t{e2}\t{v}" for (e1, e2), v in table.items())
+    rows = "\n".join(
+        f"{e1}\t{e2}\t{_int_to_digits(v)}" for (e1, e2), v in table.items()
+    )
     if fmt == "tsv":
         return rows
     head = (
@@ -76,11 +81,12 @@ def render_chi_table(table, fmt: str) -> str:
 
 
 def render_chi_value(c: int, n: int, e1: int, e2: int, value: int, fmt: str) -> str:
+    digits = _int_to_digits(value)
     if fmt == "json":
-        return json.dumps({"c": c, "n": n, "e1": e1, "e2": e2, "chi": str(value)})
+        return json.dumps({"c": c, "n": n, "e1": e1, "e2": e2, "chi": digits})
     if fmt == "tsv":
-        return f"{e1}\t{e2}\t{value}"
-    return str(value)
+        return f"{e1}\t{e2}\t{digits}"
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +294,19 @@ _context = functools.cache(ClusterContext)
 
 
 def run_check(desc: dict) -> tuple[str, bool, str, float]:
+    """(name, passed, detail, seconds) of one check; a check that raises fails."""
     t0 = time.perf_counter()
-    if desc["kind"] == "vandermonde":
-        ok, detail = _check_vandermonde(desc["trials"], desc["seed"])
-    else:
-        fn = _CHECK_KINDS[desc["kind"]]
-        ok, detail = fn(_context(desc["c"]), desc["n"], desc["seed"])
+    try:
+        if desc["kind"] == "vandermonde":
+            ok, detail = _check_vandermonde(desc["trials"], desc["seed"])
+        else:
+            fn = _CHECK_KINDS[desc["kind"]]
+            ok, detail = fn(_context(desc["c"]), desc["n"], desc["seed"])
+    except Exception as exc:
+        # the check's name says where it came from; the other checks still run
+        print(f"# {desc['name']} raised:", file=sys.stderr)
+        traceback.print_exc()
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
     return desc["name"], ok, detail, time.perf_counter() - t0
 
 
@@ -334,7 +347,13 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError("verify requires --jobs >= 1")
     checks = build_checks(args)
-    if not checks:
+    # --c outside every suite of c-dependent checks would run only the
+    # c-independent vandermonde check, which says nothing about that c
+    if not checks or (
+        args.c is not None
+        and args.suite != "vandermonde"
+        and all(desc["kind"] == "vandermonde" for desc in checks)
+    ):
         raise UsageError("no checks selected for this configuration")
 
     # more workers than checks or cores would only add start-up cost

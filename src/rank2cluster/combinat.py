@@ -16,6 +16,8 @@ import threading
 from dataclasses import dataclass
 from math import comb
 
+from .laurent import _int_to_digits
+
 
 def mod_binom(a: int, b: int) -> int:
     """Extended binomial: 0 if a < b, 1 if a = b, else C(a, a-b) exactly.
@@ -115,7 +117,7 @@ class ChiTable:
             "n": self.n,
             "dim": list(self.dim_vector),
             "chi": [
-                {"e1": e1, "e2": e2, "value": str(v)}
+                {"e1": e1, "e2": e2, "value": _int_to_digits(v)}
                 for (e1, e2), v in self.items()
             ],
         }

@@ -16,11 +16,13 @@ Three independently checkable facts live here:
 Stages below n-4 replace trailing tuple entries by weight variables
 w_1, w_2, ... >= 0 with their own partial sums v_i; the stage -1 form has
 no tuple entries left at all.  Their weighted running sum telescopes to
-a_{N-k}*v_k - a_{N-k-1}*v_{k-1}, and the last binomial of each summand
-vanishes unless v_{m-1} lies in a window fixed before any weight is
-chosen; these two facts bound every weight loop, so the loops visit only
-branches that can reach a nonzero summand.  The same bounds hold for every
-c >= 1 that staged_chi_sum accepts (see its docstring).
+a_{N-k}*v_k - a_{N-k-1}*v_{k-1} and is capped by the leading binomial,
+which bounds every weight loop from above.  The last two binomials of each
+summand add a lower end to the loops over v_{m-1} and v_{m-2} and a band
+of v_m to skip.  The loops may still visit branches whose every summand is
+zero: only the bounds that measurably shorten the sum are kept.  The same
+bounds hold for every c >= 1 that staged_chi_sum accepts (see its
+docstring).
 
 The tuple entries a stage j keeps enter its weight sum only through their
 last two partial sums, so the stage reads the closed form's tuple classes
@@ -112,24 +114,23 @@ def staged_chi_sum(
 
     With m = n-j-4 weights, N = m+2 and dot_k the weighted sum after w_k,
     the running sum telescopes: dot_k = a_{N-k}*v_k - a_{N-k-1}*v_{k-1}, so
-    dot_m = v_m and dot_{m-1} = c*v_{m-1} - v_{m-2}.  The weight loops skip
-    only branches whose every leaf is zero:
+    dot_m = v_m and dot_{m-1} = c*v_{m-1} - v_{m-2}.  Every w_k stops where
+    dot_k reaches the cap on dot_m, and where its own trailing factor's
+    top, when >= 0, runs out.  Beyond these the loops skip only branches
+    whose every leaf is zero:
 
     * the leaf's second binomial has top top2 - c*v_m and bottom
-      bot2 - c*v_m + v_{m-1}, whose difference does not involve v_m, so a
-      nonzero leaf needs v_{m-1} <= top2 - bot2; when the top is >= 0 on
-      every leaf it also needs v_{m-1} >= c*vlo - bot2 (vlo the least v_m
-      the first binomial allows), hence v_{m-2} >= c*(c*vlo - bot2) - cap;
-    * v_{m-1} >= a_{r+2}*v_k - a_{r+1}*v_{k-1} (r = m-1-k), because the
-      later weights enter v_{m-1} with coefficients a_2, ..., a_{r+1}; with
-      a_2, ..., a_{r+2} > 0 this caps w_k at every level;
+      bot2 - c*v_m + v_{m-1}; when the top is >= 0 on every leaf a nonzero
+      leaf needs v_{m-1} >= c*vlo - bot2 (vlo the least v_m the first
+      binomial allows), hence v_{m-2} >= c*(c*vlo - bot2) - cap;
     * within the leaf loop, the band of v_m where that top is >= 0 and the
       bottom < 0 is cut out.
 
-    Only the level caps use the sign of the sequence.  For c >= 2 every
-    a_i with i >= 2 is positive.  For c = 1 the sequence turns negative at
-    a_5, but n <= 5 keeps m <= 2, so only the r = 0 cap is used, and it
-    needs only a_2 = 1.  The same loops therefore run for every c.
+    Only the weighted-sum cap uses the sign of the sequence: it divides by
+    the coefficients a_2, ..., a_{m+1} with which the weights enter the
+    final sum.  For c >= 2 every a_i with i >= 2 is positive.  For c = 1
+    the sequence turns negative at a_5, but n <= 5 keeps m <= 2, so only
+    a_2 = a_3 = 1 are used.  The same loops therefore run for every c.
     """
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
@@ -148,10 +149,10 @@ def staged_chi_sum(
     aj2 = a(j + 2)
     pair1 = e2 * a(n - 2 - j) - e1 * a(n - 3 - j)
     pair2 = e2 * a(n - 1 - j) - e1 * a(n - 2 - j)
-    # coefs[k] = a_{N-k}: weight k enters the final sum with coefficient
-    # coefs[k] (k <= m), and dot_{k-1} = coefs[k-1]*v_{k-1} - coefs[k]*v_{k-2};
+    # coefs[k] = a_{N-k}: weight k < m enters the final sum with coefficient
+    # coefs[k], and dot_{k-1} = coefs[k-1]*v_{k-1} - coefs[k]*v_{k-2};
     # tconst[k] - c*v_{k-1} is the top of the trailing factor attached to w_k
-    coefs = [a(m + 2 - k) for k in range(m + 2)]
+    coefs = [a(m + 2 - k) for k in range(m)]
     tconst = [0] + [
         -a(n - k - 2) + c * (e2 * a(k + 1) - e1 * a(k)) for k in range(1, m + 1)
     ]
@@ -165,14 +166,11 @@ def staged_chi_sum(
         vlo = cap - a1 if a1 >= 0 else 0
         b1base = a1 + sj - pair1
         bot2base = sj1 - aj1 + pair2
-        # the leaf window on v_{m-1}, and the bound it puts on v_{m-2}
-        vm1_hi = top2base - bot2base
+        # the leaf window's lower end on v_{m-1}, and the bound it puts on v_{m-2}
         vm1_lo = vm2_lo = 0
         if top2base >= c * cap:
             vm1_lo = c * vlo - bot2base
             vm2_lo = c * vm1_lo - cap
-        if (m == 1 and not vm1_lo <= 0 <= vm1_hi) or (m == 2 and vm2_lo > 0):
-            return 0  # v_0 = 0 already misses its window
 
         def rec(k: int, vprev: int, vcur: int, prod: int) -> int:
             tk = tconst[k] - c * vcur
@@ -184,8 +182,9 @@ def staged_chi_sum(
                 if 0 <= tk and base + tk < hi:
                     hi = base + tk
                 # cut the band where the second binomial's top is >= 0
-                # and its bottom < 0; v_{m-1} <= vm1_hi keeps the parts
-                # disjoint
+                # and its bottom < 0.  The two parts overlap only when
+                # v_{m-1} > top2base - bot2base: there the bottom exceeds
+                # the top at every v_m, so the overlap holds only zeros
                 cut_lo = (bot2base + vcur) // c + 1
                 cut_hi = top2base // c
                 parts = (
@@ -205,18 +204,13 @@ def staged_chi_sum(
             w_hi = (cap - coefs[k - 1] * vcur + coef * vprev) // coef
             if 0 <= tk < w_hi:
                 w_hi = tk
-            hi = (vm1_hi + coefs[k + 2] * vcur) // coefs[k + 1] - base
-            if hi < w_hi:
-                w_hi = hi
             w_lo = 0
             lo = (vm1_lo if k == m - 1 else vm2_lo if k == m - 2 else 0) - base
             if lo > 0:
                 w_lo = lo
             acc = 0
             for w in range(w_lo, w_hi + 1):
-                tf = mod_binom(tk, tk - w)
-                if tf:
-                    acc += rec(k + 1, vcur, base + w, prod * tf)
+                acc += rec(k + 1, vcur, base + w, prod * mod_binom(tk, tk - w))
             return acc
 
         return rec(1, 0, 0, 1)

@@ -273,13 +273,15 @@ class LaurentPoly2:
     def to_json_terms(self) -> list[dict]:
         """Canonical JSON form: coefficients as decimal strings."""
         return [
-            {"d1": d1, "d2": d2, "coeff": str(v)}
+            {"d1": d1, "d2": d2, "coeff": _int_to_digits(v)}
             for (d1, d2), v in self.items()
         ]
 
     @classmethod
     def from_json_terms(cls, records) -> "LaurentPoly2":
-        return cls({(int(r["d1"]), int(r["d2"])): int(r["coeff"]) for r in records})
+        return cls(
+            {(int(r["d1"]), int(r["d2"])): _digits_to_int(r["coeff"]) for r in records}
+        )
 
     def __str__(self) -> str:
         if not self._terms:
@@ -288,7 +290,7 @@ class LaurentPoly2:
         for (d1, d2), v in self.items():
             factors = []
             if abs(v) != 1 or (d1 == 0 and d2 == 0):
-                factors.append(str(abs(v)))
+                factors.append(_int_to_digits(abs(v)))
             if d1 != 0:
                 factors.append("x1" if d1 == 1 else f"x1^{d1}")
             if d2 != 0:
@@ -410,15 +412,19 @@ def _mul_kronecker(p: dict, q: dict) -> dict:
 
 
 # int <-> str conversions of at most this many digits are never refused by
-# the interpreter's digit limit (sys.set_int_max_str_digits accepts 0 or >= 640)
+# the interpreter's digit limit (sys.set_int_max_str_digits accepts 0 or >= 640);
+# every integer the package prints or parses goes through the two helpers
+# below, which leave that interpreter-wide limit as it is
 _SAFE_DIGITS = 640
 _SAFE_BASE = 10**_SAFE_DIGITS
 
 
 def _int_to_digits(v: int) -> str:
-    """Decimal digits of v >= 0, for any length."""
-    if v < _SAFE_BASE:
+    """Decimal digits of v, after a '-' when v < 0, for any length."""
+    if -_SAFE_BASE < v < _SAFE_BASE:
         return str(v)
+    if v < 0:
+        return "-" + _int_to_digits(-v)
     parts = []
     while v >= _SAFE_BASE:
         v, r = divmod(v, _SAFE_BASE)
@@ -429,9 +435,12 @@ def _int_to_digits(v: int) -> str:
 
 
 def _digits_to_int(digits: str) -> int:
-    """Inverse of _int_to_digits; leading zeros are allowed."""
+    """Inverse of _int_to_digits; a leading sign and leading zeros are allowed."""
     if len(digits) <= _SAFE_DIGITS:
         return int(digits)
+    if digits[0] in "+-":
+        v = _digits_to_int(digits[1:])
+        return -v if digits[0] == "-" else v
     cut = len(digits) % _SAFE_DIGITS or _SAFE_DIGITS
     v = int(digits[:cut])
     for i in range(cut, len(digits), _SAFE_DIGITS):

@@ -7,9 +7,17 @@ import pytest
 
 from rank2cluster import cli
 from rank2cluster.cli import main
-from rank2cluster.combinat import ClusterContext
+from rank2cluster.closedform import chi_formula
+from rank2cluster.combinat import ChiTable, ClusterContext
 from rank2cluster.identities import _vanishing_stages
-from rank2cluster.laurent import ONE, X1, InexactDivisionError
+from rank2cluster.laurent import (
+    ONE,
+    X1,
+    InexactDivisionError,
+    LaurentPoly2,
+    _digits_to_int,
+    _int_to_digits,
+)
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +136,8 @@ def test_expand_methods_print_the_same(capsys, fmt):
         ("verify", "--c", "0"),
         ("verify", "--jobs", "0"),
         ("verify", "--c", "1", "--suite", "grid"),  # no checks selected
+        ("verify", "--c", "5"),  # only the c-independent vandermonde check
+        ("verify", "--c", "1", "--n-max", "3"),
     ],
     ids=" ".join,
 )
@@ -179,6 +189,28 @@ def test_verify_vandermonde_suite(capsys):
     )
     assert code == 0
     assert "PASS vandermonde" in out
+
+
+def test_verify_c_keeps_the_c_independent_suite(capsys):
+    # --c restricts the checks that have a c; vandermonde has none to restrict
+    code, out, _ = run_cli(
+        capsys, "verify", "--c", "5", "--suite", "vandermonde", "--trials", "20"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "PASS vandermonde: 20 weighted convolution instances agree",
+        "1/1 checks passed",
+    ]
+
+
+def test_verify_accepts_the_benchmark_configurations(capsys, monkeypatch):
+    # the counts perfbench/run.py expects (VERIFY_CHECKS) pass the --c guard;
+    # the checks themselves are stubbed, so nothing heavy runs
+    monkeypatch.setattr(cli, "run_check", lambda desc: (desc["name"], True, "stub", 0.0))
+    for argv, count in (((), 156), (("--c", "2", "--n-max", "6"), 30)):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["checks"]) == count
 
 
 def test_failed_internal_invariant_exits_1(capsys, monkeypatch):
@@ -342,6 +374,60 @@ def test_each_check_kind_can_fail(monkeypatch, kind, name, corrupt):
     assert cli.run_check(desc)[1] is True
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
     assert cli.run_check(desc)[1] is False
+
+
+def test_raising_check_fails_alone(capsys, monkeypatch):
+    # an exception in one check is reported as that check's failure, with its
+    # type, and every other check still runs and prints
+    def broken(ctx, n, seed):
+        raise KeyError("missing row")
+
+    monkeypatch.setitem(cli._CHECK_KINDS, "positivity", broken)
+    desc = {"kind": "positivity", "name": "positivity/c3/n05", "c": 3, "n": 5, "seed": 0}
+    assert cli.run_check(desc)[:3] == ("positivity/c3/n05", False, "KeyError: 'missing row'")
+
+    code, out, err = run_cli(capsys, "verify", "--c", "2", "--n-max", "5", "--format", "json")
+    assert code == 1
+    assert "# positivity/c2/n03 raised:" in err and "KeyError: 'missing row'" in err
+    checks = json.loads(out)["checks"]
+    failed = {c["name"]: c["detail"] for c in checks if not c["passed"]}
+    assert failed == {
+        f"positivity/c2/n{n:02d}": "KeyError: 'missing row'" for n in (3, 4, 5)
+    }
+    assert len(checks) == len(_checks("--c", "2", "--n-max", "5"))
+
+
+BIG_CELL = ("--c", "40", "--n", "6", "--e1", "20000", "--e2", "600", "--method", "formula")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "pretty"])
+def test_chi_value_wider_than_int_str_limit(capsys, fmt):
+    # about 5100 digits, beyond the interpreter's default 4300-digit limit
+    want = chi_formula(ClusterContext(40), 6, 20000, 600)
+    assert len(_int_to_digits(want)) > 4300
+    code, out, _ = run_cli(capsys, "chi", *BIG_CELL, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        digits = json.loads(out)["chi"]
+    elif fmt == "tsv":
+        e1, e2, digits = out.rstrip("\n").split("\t")
+        assert (e1, e2) == ("20000", "600")
+    else:
+        digits = out.rstrip("\n")
+    assert _digits_to_int(digits) == want
+
+
+def test_renderers_round_trip_values_wider_than_int_str_limit():
+    big = 10**5000
+    poly = LaurentPoly2({(0, 0): big, (1, -1): -big})
+    rows = [line.split("\t") for line in cli.render_poly(poly, "tsv").splitlines()]
+    assert {(int(d1), int(d2)): _digits_to_int(v) for d1, d2, v in rows} == poly._terms
+    table = ChiTable(2, 4, (2, 1), {(0, 0): big, (1, 1): -big})
+    obj = json.loads(cli.render_chi_table(table, "json"))
+    assert [_digits_to_int(r["value"]) for r in obj["chi"]] == [big, -big]
+    tsv = cli.render_chi_table(table, "tsv")
+    assert [_digits_to_int(line.split("\t")[2]) for line in tsv.splitlines()] == [big, -big]
+    assert cli.render_chi_table(table, "pretty") == "# c=2 n=4 dim=(2,1)\n" + tsv
 
 
 def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):

@@ -1,13 +1,13 @@
-"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 40 s).
+"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 50 s).
 
 At these sizes the recurrence raises polynomials of thousands of terms to
 the c-th power through the Kronecker multiply.  Its digit blocks made two
 digits narrower than the bound corrupt the (3, 9) expansion, so the
 equality with the closed form fails even without the multiply's own
-overflow check.  The (4, 8) recurrence takes about 24 s of the total, most
+overflow check.  The (4, 8) recurrence takes about 27 s of the total, most
 of it in the exact division of its last step.  The substituted form needs
 no recurrence, and its three comparisons with the closed form take about
-8 s, (4, 8) about 6 s of that.
+12 s, (4, 8) about 9 s of that.
 """
 import pytest
 

@@ -238,6 +238,25 @@ def test_kronecker_mul_wider_than_int_str_limit():
     assert _digits_to_int("000" + _int_to_digits(v)) == v
 
 
+def test_text_forms_of_values_wider_than_int_str_limit():
+    # str(10**5000) is refused under the default digit limit; printing and
+    # parsing a polynomial must not be, and must not change that limit
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # 3.10.7+
+    limit = get_limit()
+    big = 10**5000
+    digits = "1" + "0" * 5000
+    p = LaurentPoly2({(0, 0): big, (1, -1): -big})
+    assert str(p) == f"{digits} - {digits}*x1*x2^-1"
+    records = p.to_json_terms()
+    assert [r["coeff"] for r in records] == [digits, "-" + digits]
+    assert LaurentPoly2.from_json_terms(json.loads(json.dumps(records))) == p
+    for v in (big, -big, -7 * 10**9000 - 12345):
+        assert _digits_to_int(_int_to_digits(v)) == v
+    assert _digits_to_int("+" + digits) == big
+    assert _digits_to_int("-000" + digits) == -big
+    assert get_limit() == limit
+
+
 def test_kronecker_mul_ignores_caller_decimal_context():
     rng = random.Random(4)
     p = random_terms(rng, 150, 1)

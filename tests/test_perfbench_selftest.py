@@ -1,4 +1,4 @@
-"""The benchmark's self-test, opt-in: `pytest -m slow` (about 30 s).
+"""The benchmark's self-test, opt-in: `pytest -m slow` (about 35 s).
 
 perfbench/selftest.py runs every workload at smoke sizes with the tracer
 on, so it holds the library to the tracer's contract: each `exact_div`
