@@ -4,15 +4,16 @@ Values are immutable once constructed, stored as a map from exponent pairs
 (d1, d2) to nonzero integer coefficients.  All arithmetic is exact; there
 is no floating point anywhere.
 
-Products of large nonnegative operands go through one Kronecker
-substitution: each operand is written as a single decimal number, one
-fixed-width digit block per cell of its gcd-compressed exponent lattice, and
-the two numbers are multiplied once by the stdlib `decimal` module, whose
-libmpdec core uses a number-theoretic transform at these sizes (Harvey,
-arXiv:0712.4046).  The multiply runs in a private `decimal.Context` with
-maximal precision that traps `Inexact` and `Rounded`, so it is exact or
-raises; the caller's thread context is neither read nor changed.  Small or
-signed operands use the schoolbook product.
+Every product goes through one Kronecker substitution: each operand is
+written as a single decimal number, one fixed-width digit block per cell of
+its gcd-compressed exponent lattice, and the two numbers are multiplied
+once by the stdlib `decimal` module, whose libmpdec core uses a
+number-theoretic transform at large sizes (Harvey, arXiv:0712.4046).  The
+multiply runs in a private `decimal.Context` with maximal precision that
+traps `Inexact` and `Rounded`, so it is exact or raises; the caller's
+thread context is neither read nor changed.  A signed operand is split into
+its positive part and its negated negative part, and the products of the
+parts are added with their signs.
 """
 from __future__ import annotations
 
@@ -28,9 +29,6 @@ from decimal import (
 from fractions import Fraction
 from math import gcd
 from operator import index
-
-# switch to Kronecker multiplication above this many coefficient products
-_KRONECKER_MUL_THRESHOLD = 10_000
 
 
 class InexactDivisionError(ArithmeticError):
@@ -144,7 +142,10 @@ class LaurentPoly2:
         return self + (-other)
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other) -> "LaurentPoly2":
         other = _coerce(other)
@@ -303,7 +304,8 @@ class LaurentPoly2:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly2({self._terms!r})"
+        body = ", ".join(f"{k!r}: {_int_to_digits(v)}" for k, v in self._terms.items())
+        return f"LaurentPoly2({{{body}}})"
 
 
 X1 = LaurentPoly2.monomial(1, 0)
@@ -322,22 +324,18 @@ def _coerce(v):
 def _mul_terms(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
-    if len(p) * len(q) >= _KRONECKER_MUL_THRESHOLD:
-        if min(p.values()) >= 0 and min(q.values()) >= 0:
-            return _mul_kronecker(p, q)
-    if len(p) > len(q):
-        p, q = q, p
+    if min(p.values()) >= 0 and min(q.values()) >= 0:
+        return _mul_kronecker(p, q)
+    # the digit blocks hold nonnegative coefficients only, so each operand is
+    # split into its positive part and its negated negative part
     out: dict[tuple[int, int], int] = {}
-    get = out.get
-    qitems = list(q.items())
-    for (a1, a2), u in p.items():
-        for (b1, b2), v in qitems:
-            k = (a1 + b1, a2 + b2)
-            prev = get(k)
-            if prev is None:
-                out[k] = u * v
-            else:
-                out[k] = prev + u * v
+    for sp in (1, -1):
+        pp = {k: v * sp for k, v in p.items() if v * sp > 0}
+        for sq in (1, -1):
+            qq = {k: v * sq for k, v in q.items() if v * sq > 0}
+            if pp and qq:
+                for k, v in _mul_kronecker(pp, qq).items():
+                    out[k] = out.get(k, 0) + sp * sq * v
     return {k: v for k, v in out.items() if v}
 
 

@@ -71,6 +71,10 @@ class TestASeq:
         with pytest.raises(TypeError):
             ClusterContext(2.0)
 
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_repr(self, c):
+        assert repr(ClusterContext(c)) == f"ClusterContext(c={c})"
+
     def test_window_identity(self):
         # a_{n-1}*a_{n-3} - a_{n-2}^2 == -1, down to index 0
         for c in (2, 3, 4, 5):

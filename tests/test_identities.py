@@ -246,6 +246,19 @@ class TestStagedSums:
             staged_chi_sum(ctx, 5, 0, 0, -2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: staged_chi_sum(ctx, 2, 0, 0, -1),
+        lambda ctx: vanishing_check(ctx, 2, 1, 0),
+    ],
+    ids=["staged_chi_sum", "vanishing_check"],
+)
+def test_index_below_three_rejected(call):
+    with pytest.raises(ValueError, match="requires n >= 3"):
+        call(ClusterContext(2))
+
+
 class TestVanishing:
     def test_examples(self):
         assert vanishing_check(ClusterContext(2), 4, 1, 0) is True

@@ -14,7 +14,6 @@ from rank2cluster.laurent import (
     X2,
     InexactDivisionError,
     LaurentPoly2,
-    _KRONECKER_MUL_THRESHOLD,
     _digits_to_int,
     _int_to_digits,
     _mul_kronecker,
@@ -130,6 +129,45 @@ def test_json_round_trip_and_order():
     assert LaurentPoly2.from_json_terms(json.loads(json.dumps(records))) == p
 
 
+def test_repr_of_small_values_is_the_dict_form_and_evals_back():
+    p = LaurentPoly2({(1, -2): 3, (0, 0): -1})
+    assert repr(p) == "LaurentPoly2({(1, -2): 3, (0, 0): -1})"
+    assert eval(repr(p)) == p
+    assert repr(LaurentPoly2.zero()) == "LaurentPoly2({})"
+
+
+def test_rsub_of_an_integer():
+    assert 3 - X1 == poly({(0, 0): 3, (1, 0): -1})
+    assert 0 - ONE == -ONE
+
+
+def test_rsub_of_a_float_names_the_subtraction():
+    with pytest.raises(TypeError, match="for -"):
+        1.5 - X1
+
+
+@pytest.mark.parametrize(
+    "op, exc",
+    [
+        (lambda p: p.exact_div(1.5), TypeError),
+        (lambda p: p + 1.5, TypeError),
+        (lambda p: p * 1.5, TypeError),
+        (lambda p: LaurentPoly2.zero().min_exponents(), ValueError),
+    ],
+    ids=["exact_div-float", "add-float", "mul-float", "min_exponents-zero"],
+)
+def test_invalid_operands_rejected(op, exc):
+    with pytest.raises(exc):
+        op(ONE + X1)
+
+
+@pytest.mark.parametrize(
+    "other, equal", [(3, True), (4, False), ("x", False)], ids=["3", "4", "str"]
+)
+def test_eq_against_non_polynomials(other, equal):
+    assert (LaurentPoly2.constant(3) == other) is equal
+
+
 def test_str_rendering():
     assert str(LaurentPoly2.zero()) == "0"
     p = LaurentPoly2.monomial(-1, 0) + LaurentPoly2.monomial(-1, 2)
@@ -186,6 +224,52 @@ def schoolbook(p, q):
     return {k: v for k, v in out.items() if v}
 
 
+signed_terms = st.dictionaries(
+    st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
+    st.integers(-(10**30), 10**30).filter(bool),
+    max_size=8,
+)
+
+
+@given(
+    signed_terms,
+    signed_terms,
+    st.sampled_from(["drawn", "p-negative", "negative", "square"]),
+)
+def test_mul_terms_matches_schoolbook_on_signed_terms(p, q, shape):
+    if shape in ("p-negative", "negative"):
+        p = {k: -abs(v) for k, v in p.items()}
+    if shape == "negative":
+        q = {k: -abs(v) for k, v in q.items()}
+    if shape == "square":
+        q = p
+    assert _mul_terms(p, q) == schoolbook(p, q)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 59])
+def test_mul_terms_cancelling_product(m):
+    # (1 - x1)(1 + x1 + ... + x1^m) = 1 - x1^(m+1): every inner term cancels
+    p = {(0, 0): 1, (1, 0): -1}
+    q = {(i, 0): 1 for i in range(m + 1)}
+    expected = {(0, 0): 1, (m + 1, 0): -1}
+    assert _mul_terms(p, q) == expected
+    assert _mul_terms(q, p) == expected
+
+
+def test_mul_terms_signed_wider_than_safe_digits():
+    # coefficients of 700 digits, past the 640 that _int_to_digits prints at once
+    rng = random.Random(6)
+    wide = 10**700
+
+    def coeff(scale):
+        return rng.choice((-1, 1)) * (scale * wide + rng.randint(0, 10**9))
+
+    p = {(i, j): coeff(1) for i in range(3) for j in range(3)}
+    q = {(i, -j): coeff(2) for i in range(4) for j in range(2)}
+    assert _mul_terms(p, q) == schoolbook(p, q)
+    assert _mul_terms(p, p) == schoolbook(p, p)
+
+
 def random_terms(rng, size, step, span=40):
     def exponent():
         return rng.randint(-span, span) * step
@@ -201,7 +285,6 @@ def test_kronecker_mul_matches_schoolbook_above_threshold(step):
     for _ in range(3):
         p = random_terms(rng, 150, step)
         q = random_terms(rng, 150, step)
-        assert len(p) * len(q) >= _KRONECKER_MUL_THRESHOLD
         expected = schoolbook(p, q)
         assert _mul_kronecker(p, q) == expected
         assert _mul_terms(p, q) == expected
@@ -239,14 +322,15 @@ def test_kronecker_mul_wider_than_int_str_limit():
 
 
 def test_text_forms_of_values_wider_than_int_str_limit():
-    # str(10**5000) is refused under the default digit limit; printing and
-    # parsing a polynomial must not be, and must not change that limit
+    # str(10**5000) is refused under the default digit limit; printing,
+    # repr and parsing a polynomial must not be, and must not change that limit
     get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)  # 3.10.7+
     limit = get_limit()
     big = 10**5000
     digits = "1" + "0" * 5000
     p = LaurentPoly2({(0, 0): big, (1, -1): -big})
     assert str(p) == f"{digits} - {digits}*x1*x2^-1"
+    assert repr(p) == f"LaurentPoly2({{(0, 0): {digits}, (1, -1): -{digits}}})"
     records = p.to_json_terms()
     assert [r["coeff"] for r in records] == [digits, "-" + digits]
     assert LaurentPoly2.from_json_terms(json.loads(json.dumps(records))) == p

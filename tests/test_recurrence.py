@@ -55,6 +55,12 @@ def test_memoized_value_is_stable():
     assert cluster_var_recurrence(ctx, 7) is first
 
 
+@pytest.mark.parametrize("c, n", [(1, 3), (2, 0)])
+def test_scalar_preconditions(c, n):
+    with pytest.raises(ValueError):
+        scalar_cluster_value(c, n)
+
+
 def test_scalar_sequence_c2():
     assert [scalar_cluster_value(2, n) for n in range(1, 7)] == [1, 1, 2, 5, 13, 34]
 
