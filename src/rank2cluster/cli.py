@@ -190,7 +190,7 @@ def _check_chi(ctx: ClusterContext, n: int, seed: int):
 
 
 def _check_coeffsum(ctx: ClusterContext, n: int, seed: int):
-    got = sum(v for _, v in cluster_var_formula(ctx, n).items())  # x_n at (1, 1)
+    got = sum(v for _, v in cluster_var_recurrence(ctx, n).items())  # x_n at (1, 1)
     want = scalar_cluster_value(ctx.c, n)
     ok = got == want
     return ok, f"x_{n}(1,1) = {want}" if ok else f"got {got}, want {want}"

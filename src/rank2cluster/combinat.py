@@ -108,9 +108,6 @@ class ChiTable:
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.entries.items())
 
-    def total(self) -> int:
-        return sum(self.entries.values())
-
     def to_json_obj(self) -> dict:
         return {
             "c": self.c,

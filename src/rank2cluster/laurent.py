@@ -84,18 +84,11 @@ class LaurentPoly2:
     def coeff(self, d1: int, d2: int) -> int:
         return self._terms.get((d1, d2), 0)
 
-    def support(self) -> list[tuple[int, int]]:
-        """Exponent pairs in canonical order (lexicographic, ascending)."""
-        return sorted(self._terms)
-
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self._terms.items())
 
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def min_exponents(self) -> tuple[int, int]:
         """Componentwise minimum of the support; undefined for zero."""

@@ -5,19 +5,12 @@ complete.  All comparisons are exact; the only tolerances are the stated
 wall-clock budgets.
 """
 import math
-import random
 import time
-from fractions import Fraction
 
 from rank2cluster.cli import build_checks, build_parser, run_check
 from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ClusterContext, mod_binom
-from rank2cluster.identities import (
-    RationalPoly,
-    vandermonde_sides,
-    vanishing_check,
-)
-from rank2cluster.recurrence import cluster_var_recurrence, scalar_cluster_value
+from rank2cluster.recurrence import scalar_cluster_value
 
 ACCEPTANCE_GRID = ((2, 12), (3, 8), (4, 7))
 
@@ -28,16 +21,17 @@ def _grid():
             yield c, n
 
 
-def _run_registry(kind, min_c=0):
-    """Run every default `verify` check of one kind, which must cover the grid
-    points with c >= min_c exactly."""
+def _run_registry(kind, points=None, min_c=0):
+    """Run every default `verify` check of one kind.  Its (c, n) points must
+    be `points` exactly, by default the grid points with c >= min_c; the
+    vandermonde check has neither, so its one point is (None, None)."""
     checks = [
         desc for desc in build_checks(build_parser().parse_args(["verify"]))
         if desc["kind"] == kind
     ]
-    assert {(d["c"], d["n"]) for d in checks} == {
-        (c, n) for c, n in _grid() if c >= min_c
-    }, kind
+    if points is None:
+        points = {(c, n) for c, n in _grid() if c >= min_c}
+    assert {(d.get("c"), d.get("n")) for d in checks} == points, kind
     for desc in checks:
         name, ok, detail, _ = run_check(desc)
         assert ok, f"{name}: {detail}"
@@ -80,55 +74,24 @@ def test_criterion_03_chi_agreement():
 def test_criterion_04_coefficient_sums():
     def body():
         assert scalar_cluster_value(2, 6) == 34
-        for c, n in _grid():
-            ctx = ClusterContext(c)
-            got = cluster_var_recurrence(ctx, n).eval_exact(1, 1)
-            assert got == scalar_cluster_value(c, n), (c, n)
+        _run_registry("coeffsum")
 
     _report(4, "coefficient sums match the scalar recurrence", body)
 
 
 def test_criterion_05_vanishing():
-    def body():
-        for c in (1, 2, 3):
-            ctx = ClusterContext(c)
-            for n in range(4, 8):
-                an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-                span = max(abs(an1), abs(an2), 4)
-                rng = random.Random(f"0:acceptance-vanishing:{c}:{n}")
-                done = 0
-                while done < 100:
-                    e1 = rng.randint(-2 * span, 2 * span)
-                    e2 = rng.randint(-2 * span, 2 * span)
-                    if e2 * an1 - e1 * an2 >= 0:
-                        continue
-                    assert vanishing_check(ctx, n, e1, e2), (c, n, e1, e2)
-                    if c >= 2:
-                        assert chi_formula(ctx, n, e1, e2) == 0, (c, n, e1, e2)
-                    done += 1
-
-    _report(5, "100 random negative-pairing cells vanish for each (c, n)", body)
+    _report(
+        5, "100 random negative-pairing cells vanish for each (c, n)",
+        lambda: _run_registry(
+            "vanishing", points={(c, n) for c in (1, 2, 3) for n in range(4, 8)}
+        ),
+    )
 
 
 def test_criterion_06_vandermonde():
     def body():
         t0 = time.perf_counter()
-        rng = random.Random("0:acceptance-vandermonde")
-        done = 0
-        while done < 500:
-            a = rng.randint(-12, 12)
-            b = rng.randint(-12, 12)
-            if a + b < 0:
-                continue
-            m = rng.randint(-15, 15)
-            q = rng.randint(0, min(4, a + b))
-            coeffs = [
-                Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-                for _ in range(q + 1)
-            ]
-            lhs, rhs = vandermonde_sides(a, b, m, RationalPoly.from_coeffs(coeffs))
-            assert lhs == rhs, (a, b, m, coeffs)
-            done += 1
+        _run_registry("vandermonde", points={(None, None)})
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
 
@@ -136,21 +99,12 @@ def test_criterion_06_vandermonde():
 
 
 def test_criterion_07_stage_invariance():
-    def body():
-        for c in (2, 3):
-            for n in (5, 6, 7):
-                name, ok, detail, _ = run_check(
-                    {
-                        "kind": "invariance",
-                        "name": f"invariance/c{c}/n{n}",
-                        "c": c,
-                        "n": n,
-                        "seed": 0,
-                    }
-                )
-                assert ok, f"{name}: {detail}"
-
-    _report(7, "all stages agree with the cell value over every dimension box", body)
+    _report(
+        7, "all stages agree with the cell value over every dimension box",
+        lambda: _run_registry(
+            "invariance", points={(c, n) for c in (2, 3) for n in (5, 6, 7)}
+        ),
+    )
 
 
 def test_criterion_08_nonnegativity():

@@ -349,6 +349,7 @@ CORRUPTIONS = [
     ("chi", "chi_from_expansion", lambda f: lambda ctx, n: replace(f(ctx, n), dim_vector=(0, 0))),
     ("chi", "chi_formula", lambda f: lambda *cell: 1),
     ("coeffsum", "scalar_cluster_value", lambda f: lambda c, n: f(c, n) + 1),
+    ("coeffsum", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) + 1),
     ("denominator", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) * X1),
     ("denominator", "cluster_var_recurrence", lambda f: lambda ctx, n: f(ctx, n) * 2),
     ("positivity", "cluster_var_recurrence", lambda f: lambda ctx, n: -f(ctx, n)),

@@ -1,34 +1,40 @@
-"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 50 s).
+"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 40 s).
 
-At these sizes the recurrence raises polynomials of thousands of terms to
-the c-th power through the Kronecker multiply.  Its digit blocks made two
-digits narrower than the bound corrupt the (3, 9) expansion, so the
-equality with the closed form fails even without the multiply's own
-overflow check.  The (4, 8) recurrence takes about 27 s of the total, most
-of it in the exact division of its last step.  The substituted form needs
-no recurrence, and its three comparisons with the closed form take about
-12 s, (4, 8) about 9 s of that.
+Each test runs `verify` checks beyond the default grid, through the same
+`run_check` as the CLI.  At these sizes the recurrence raises polynomials
+of thousands of terms to the c-th power through the Kronecker multiply.
+Its digit blocks made two digits narrower than the bound corrupt the
+(3, 9) expansion, so the `expand` check fails even without the multiply's
+own overflow check.  The (4, 8) `expand` check
+takes about 20 s of the total, most of it in the exact division of the
+recurrence's last step; the `coeffsum` check after it reads the memoized
+expansion.  The substituted form needs no recurrence, and its three `v2`
+checks take about 9 s, (4, 8) about 7 s of that.
 """
 import pytest
 
-from rank2cluster.closedform import cluster_var_formula, cluster_var_formula_v2
-from rank2cluster.combinat import ClusterContext
-from rank2cluster.recurrence import cluster_var_recurrence, scalar_cluster_value
+from rank2cluster.cli import run_check
+
+FRONTIER = [(3, 9), (5, 7), (4, 8)]
+
+
+def _run(kind, c, n):
+    name, ok, detail, _ = run_check(
+        {"kind": kind, "name": f"{kind}/c{c}/n{n}", "c": c, "n": n, "seed": 0}
+    )
+    assert ok, f"{name}: {detail}"
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("c, n", [(3, 9), (5, 7), (4, 8)])
+@pytest.mark.parametrize("c, n", FRONTIER)
 def test_recurrence_equals_formula_at_frontier(c, n):
-    ctx = ClusterContext(c)
-    rec = cluster_var_recurrence(ctx, n)
-    assert rec == cluster_var_formula(ctx, n)
-    assert sum(v for _, v in rec.items()) == scalar_cluster_value(c, n)
+    _run("expand", c, n)
+    _run("coeffsum", c, n)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("c, n", [(3, 9), (5, 7), (4, 8)])
+@pytest.mark.parametrize("c, n", FRONTIER)
 def test_substituted_form_equals_formula_at_frontier(c, n):
     # beyond the default grid, a support bound one cell too narrow in either
     # builder shows only here
-    ctx = ClusterContext(c)
-    assert cluster_var_formula_v2(ctx, n) == cluster_var_formula(ctx, n)
+    _run("v2", c, n)

@@ -34,7 +34,7 @@ small_polys = st.dictionaries(
 
 def test_add_cancellation():
     assert X1 + (-1) * X1 == LaurentPoly2.zero()
-    assert (X1 + (-1) * X1).is_zero()
+    assert not (X1 + (-1) * X1)
 
 
 def test_mul_unit_monomials():
@@ -118,7 +118,7 @@ def test_coeff_and_support():
     assert p.coeff(0, 2) == 2
     assert p.coeff(1, 0) == 0
     q = LaurentPoly2.monomial(-1, 0) + X2
-    assert q.support() == [(-1, 0), (0, 1)]
+    assert [k for k, _ in q.items()] == [(-1, 0), (0, 1)]
 
 
 def test_json_round_trip_and_order():
@@ -186,7 +186,7 @@ def test_ring_axioms(p, q, r):
 
 @given(small_polys, small_polys)
 def test_mul_round_trips_through_exact_div(p, q):
-    if q.is_zero():
+    if not q:
         return
     assert (p * q).exact_div(q) == p
 
@@ -194,13 +194,13 @@ def test_mul_round_trips_through_exact_div(p, q):
 @given(small_polys, small_polys)
 def test_exact_div_succeeds_or_reports_a_true_remainder(p, q):
     # either q divides p, or p - remainder is a multiple of q
-    if q.is_zero():
+    if not q:
         return
     try:
         quot = p.exact_div(q)
     except InexactDivisionError as exc:
         r = exc.remainder
-        assert not r.is_zero()
+        assert r
         (p - r).exact_div(q)
     else:
         assert quot * q == p
@@ -278,7 +278,7 @@ def random_terms(rng, size, step, span=40):
 
 
 @pytest.mark.parametrize("step", [2, 1])
-def test_kronecker_mul_matches_schoolbook_above_threshold(step):
+def test_kronecker_mul_matches_schoolbook_on_large_operands(step):
     # step 2 puts both operands on a gcd-compressed lattice; both steps
     # reach negative exponents
     rng = random.Random(step)
