@@ -57,7 +57,10 @@ class UsageError(Exception):
 
 def render_poly(poly: LaurentPoly2, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(poly.to_json_terms())
+        return json.dumps([
+            {"d1": d1, "d2": d2, "coeff": _int_to_digits(v)}
+            for (d1, d2), v in poly.items()
+        ])
     if fmt == "tsv":
         return "\n".join(
             f"{d1}\t{d2}\t{_int_to_digits(v)}" for (d1, d2), v in poly.items()
@@ -67,7 +70,15 @@ def render_poly(poly: LaurentPoly2, fmt: str) -> str:
 
 def render_chi_table(table, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(table.to_json_obj())
+        return json.dumps({
+            "c": table.c,
+            "n": table.n,
+            "dim": list(table.dim_vector),
+            "chi": [
+                {"e1": e1, "e2": e2, "value": _int_to_digits(v)}
+                for (e1, e2), v in table.items()
+            ],
+        })
     rows = "\n".join(
         f"{e1}\t{e2}\t{_int_to_digits(v)}" for (e1, e2), v in table.items()
     )

@@ -7,7 +7,8 @@ coefficient extended to arbitrary integer arguments.  The running
 weighted sums of tuple entries against that sequence are built by the
 closed form's tuple walk (closedform.enumerate_admissible).  The
 characteristic table type that both routes fill lives here too, so
-neither route imports the other.
+neither route imports the other.  This module imports nothing from the
+package.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import operator
 import threading
 from dataclasses import dataclass
 from math import comb
-
-from .laurent import _int_to_digits
 
 
 def mod_binom(a: int, b: int) -> int:
@@ -107,14 +106,3 @@ class ChiTable:
 
     def items(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.entries.items())
-
-    def to_json_obj(self) -> dict:
-        return {
-            "c": self.c,
-            "n": self.n,
-            "dim": list(self.dim_vector),
-            "chi": [
-                {"e1": e1, "e2": e2, "value": _int_to_digits(v)}
-                for (e1, e2), v in self.items()
-            ],
-        }

@@ -262,20 +262,7 @@ class LaurentPoly2:
             total += v * f1**d1 * f2**d2
         return total
 
-    # -- serialization / display ----------------------------------------------------
-
-    def to_json_terms(self) -> list[dict]:
-        """Canonical JSON form: coefficients as decimal strings."""
-        return [
-            {"d1": d1, "d2": d2, "coeff": _int_to_digits(v)}
-            for (d1, d2), v in self.items()
-        ]
-
-    @classmethod
-    def from_json_terms(cls, records) -> "LaurentPoly2":
-        return cls(
-            {(int(r["d1"]), int(r["d2"])): _digits_to_int(r["coeff"]) for r in records}
-        )
+    # -- display -------------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:

@@ -91,6 +91,12 @@ def test_routes_import_nothing_from_each_other():
     assert "closedform" not in _imported_modules("laurent")
 
 
+def test_combinat_imports_nothing_from_the_package():
+    # both routes and the CLI build on the sequence, the binomial and the table
+    # type, so they must not reach back into any of them
+    assert _imported_modules("combinat") == set()
+
+
 def test_identities_takes_only_cell_sum_and_classes_from_closedform():
     # the staged sums check the cell value, so they may share only the cell sum
     # itself (stage n-4) and the tuple classes of lower depths

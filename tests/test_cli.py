@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +259,29 @@ def test_expand_output_byte_stable(capsys):
     assert out1 == out2
 
 
+# the benchmark's pinned stdout digests, recorded on the seed commit
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["stdout_sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        f"chi --c {c} --n {n} --method formula --format json"
+        for c, n in ((2, 8), (3, 6), (4, 7), (2, 40))
+    ]
+    + [
+        f"expand --c {c} --n {n} --method both --format json"
+        for c, n in ((2, 8), (3, 6), (4, 7))
+    ],
+)
+def test_stdout_matches_benchmark_reference_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[argv]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "rank2cluster", "expand", "--c", "2", "--n", "4",
@@ -418,9 +443,25 @@ def test_chi_value_wider_than_int_str_limit(capsys, fmt):
     assert _digits_to_int(digits) == want
 
 
+def _json_terms(records):
+    return {(r["d1"], r["d2"]): _digits_to_int(r["coeff"]) for r in records}
+
+
+def test_json_round_trip_and_order():
+    p = LaurentPoly2({(1, -2): 3, (-1, 0): 12345678901234567890, (1, 2): -4})
+    records = json.loads(cli.render_poly(p, "json"))
+    assert records == sorted(records, key=lambda r: (r["d1"], r["d2"]))
+    assert all(isinstance(r["coeff"], str) for r in records)
+    assert LaurentPoly2(_json_terms(records)) == p
+
+
 def test_renderers_round_trip_values_wider_than_int_str_limit():
     big = 10**5000
+    digits = "1" + "0" * 5000
     poly = LaurentPoly2({(0, 0): big, (1, -1): -big})
+    records = json.loads(cli.render_poly(poly, "json"))
+    assert [r["coeff"] for r in records] == [digits, "-" + digits]
+    assert _json_terms(records) == poly._terms
     rows = [line.split("\t") for line in cli.render_poly(poly, "tsv").splitlines()]
     assert {(int(d1), int(d2)): _digits_to_int(v) for d1, d2, v in rows} == poly._terms
     table = ChiTable(2, 4, (2, 1), {(0, 0): big, (1, 1): -big})

@@ -4,7 +4,6 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from rank2cluster.closedform import enumerate_admissible
 from rank2cluster.combinat import ClusterContext, euler_form, mod_binom
 
 
@@ -116,47 +115,6 @@ class TestASeq:
         for t in threads:
             t.join()
         assert not errors
-
-
-class TestSPrefix:
-    """Partial sums s_0..s_depth of a tuple prefix, as the admissible walk builds them."""
-
-    @staticmethod
-    def s_values(ctx, n, entries):
-        for got, sv, _ in enumerate_admissible(ctx, n, len(entries)):
-            if got == entries:
-                return sv
-        raise AssertionError(f"{entries} is not admissible at c={ctx.c}, n={n}")
-
-    def test_extend_from_empty(self):
-        ctx = ClusterContext(2)
-        assert self.s_values(ctx, 4, (0,)) == (0, 0)  # s_0, s_1
-
-    def test_extend_recurrence_form(self):
-        ctx = ClusterContext(2)
-        sv = self.s_values(ctx, 6, (0, 1, 0))
-        # s_3 = c*s_2 - s_1 + t_2 = 2*1 - 0 + 0
-        assert sv[3] == 2
-        for c, n in ((2, 9), (3, 8)):
-            ctx = ClusterContext(c)
-            for entries, sv, _ in enumerate_admissible(ctx, n, n - 3):
-                for i, t in enumerate(entries):
-                    s_prev = sv[i - 1] if i else 0
-                    assert sv[i + 1] == c * sv[i] - s_prev + t, (c, n, entries, i)
-
-    def test_extend_c3(self):
-        ctx = ClusterContext(3)
-        sv = self.s_values(ctx, 7, (0, 0, 1, 1))
-        # s_4 = c*s_3 - s_2 + t_3 = 3*1 - 0 + 1
-        assert sv == (0, 0, 0, 1, 4)
-
-    def test_matches_weighted_sum_definition(self):
-        ctx = ClusterContext(3)
-        entries = (0, 0, 1, 2, 3)
-        sv = self.s_values(ctx, 8, entries)
-        for i in range(len(entries) + 1):
-            want = sum(ctx.a(i - j + 1) * entries[j] for j in range(i))
-            assert sv[i] == want
 
 
 class TestEulerForm:

@@ -13,13 +13,21 @@ checks take about 9 s, (4, 8) about 7 s of that.
 """
 import pytest
 
-from rank2cluster.cli import run_check
+from rank2cluster import cli
 
 FRONTIER = [(3, 9), (5, 7), (4, 8)]
 
 
+@pytest.fixture(autouse=True)
+def _drop_contexts():
+    # run_check keeps one context per c, with every table it memoized, for the
+    # life of the process; drop them so one frontier point's tables live at a time
+    yield
+    cli._context.cache_clear()
+
+
 def _run(kind, c, n):
-    name, ok, detail, _ = run_check(
+    name, ok, detail, _ = cli.run_check(
         {"kind": kind, "name": f"{kind}/c{c}/n{n}", "c": c, "n": n, "seed": 0}
     )
     assert ok, f"{name}: {detail}"
