@@ -8,7 +8,6 @@ invariant failed (any exception other than a usage error), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -17,6 +16,7 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from types import MappingProxyType
 
 from .closedform import (
     chi_formula,
@@ -36,14 +36,14 @@ from .identities import (
 from .laurent import LaurentPoly2, _int_to_digits
 from .recurrence import chi_from_expansion, cluster_var_recurrence, scalar_cluster_value
 
-# default verification grid: parameter -> largest index
-GRID = {2: 12, 3: 8, 4: 7}
+# default verification grid: (parameter, largest index)
+GRID = ((2, 12), (3, 8), (4, 7))
 GRID_KINDS = ("expand", "v2", "chi", "coeffsum", "denominator", "positivity")
-# suites of a single check kind: kind -> (parameters, indices)
-KIND_SUITES = {
-    "vanishing": ((1, 2, 3), (4, 5, 6, 7)),
-    "invariance": ((2, 3), (5, 6, 7)),
-}
+# suites of a single check kind: (kind, parameters, indices)
+KIND_SUITES = (
+    ("vanishing", (1, 2, 3), (4, 5, 6, 7)),
+    ("invariance", (2, 3), (5, 6, 7)),
+)
 SUITES = ("all", "grid", "vanishing", "vandermonde", "invariance")
 
 
@@ -288,7 +288,7 @@ def _check_vandermonde(trials: int, seed: int):
     return True, f"{trials} weighted convolution instances agree"
 
 
-_CHECK_KINDS = {
+_CHECK_KINDS = MappingProxyType({
     "expand": _check_expand,
     "v2": _check_v2,
     "chi": _check_chi,
@@ -298,13 +298,10 @@ _CHECK_KINDS = {
     "nonneg-region": _check_nonneg_region,
     "vanishing": _check_vanishing,
     "invariance": _check_invariance,
-}
-
-# one context per c in each process, so that checks share each route's memos
-_context = functools.cache(ClusterContext)
+})
 
 
-def run_check(desc: dict) -> tuple[str, bool, str, float]:
+def run_check(desc: dict, ctx: ClusterContext | None) -> tuple[str, bool, str, float]:
     """(name, passed, detail, seconds) of one check; a check that raises fails."""
     t0 = time.perf_counter()
     try:
@@ -312,7 +309,7 @@ def run_check(desc: dict) -> tuple[str, bool, str, float]:
             ok, detail = _check_vandermonde(desc["trials"], desc["seed"])
         else:
             fn = _CHECK_KINDS[desc["kind"]]
-            ok, detail = fn(_context(desc["c"]), desc["n"], desc["seed"])
+            ok, detail = fn(ctx, desc["n"], desc["seed"])
     except Exception as exc:
         # the check's name says where it came from; the other checks still run
         print(f"# {desc['name']} raised:", file=sys.stderr)
@@ -321,17 +318,23 @@ def run_check(desc: dict) -> tuple[str, bool, str, float]:
     return desc["name"], ok, detail, time.perf_counter() - t0
 
 
+def run_checks(checks: list[dict]) -> list[tuple[str, bool, str, float]]:
+    """`run_check` of each check, in order, with one context per c (vandermonde: None)."""
+    contexts = {c: ClusterContext(c) for c in {d["c"] for d in checks if "c" in d}}
+    return [run_check(desc, contexts.get(desc.get("c"))) for desc in checks]
+
+
 def build_checks(args) -> list[dict]:
     """The check descriptors that `verify` runs for these arguments."""
     points = [
         ("grid", kind, f"{kind}/c{c}/n{n:02d}", c, n)
-        for c, top in sorted(GRID.items())
+        for c, top in GRID
         for n in range(3, top + 1)
         for kind in GRID_KINDS + (("nonneg-region",) if c >= 3 else ())
     ]
     points += [
         (kind, kind, f"{kind}/c{c}/n{n}", c, n)
-        for kind, (cs, ns) in KIND_SUITES.items()
+        for kind, cs, ns in KIND_SUITES
         for c in cs
         for n in ns
     ]
@@ -367,14 +370,16 @@ def cmd_verify(args) -> int:
     ):
         raise UsageError("no checks selected for this configuration")
 
-    # more workers than checks or cores would only add start-up cost
-    workers = min(args.jobs, len(checks), os.cpu_count() or 1)
+    # one task per c; more workers than tasks or cores would only add start-up cost
+    cs = dict.fromkeys(desc.get("c") for desc in checks)
+    groups = [[desc for desc in checks if desc.get("c") == c] for c in cs]
+    workers = min(args.jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_check, checks))
+            batches = list(pool.map(run_checks, groups))
     else:
-        results = [run_check(desc) for desc in checks]
-    results.sort(key=lambda r: r[0])
+        batches = map(run_checks, groups)
+    results = sorted((r for batch in batches for r in batch), key=lambda r: r[0])
 
     for name, _ok, _detail, dt in results:
         print(f"# {name}: {dt:.3f}s", file=sys.stderr)
@@ -440,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run cross-verification checks")
     p_verify.add_argument("--c", type=int, default=None, help="restrict to one parameter")
-    p_verify.add_argument("--n-max", type=int, default=max(GRID.values()))
+    p_verify.add_argument("--n-max", type=int, default=max(top for _, top in GRID))
     p_verify.add_argument("--suite", choices=SUITES, default="all")
     p_verify.add_argument("--trials", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=0)

@@ -306,16 +306,16 @@ def _mul_terms(p: dict, q: dict) -> dict:
         return {}
     if min(p.values()) >= 0 and min(q.values()) >= 0:
         return _mul_kronecker(p, q)
-    # the digit blocks hold nonnegative coefficients only, so each operand is
-    # split into its positive part and its negated negative part
+    # the digit blocks hold nonnegative coefficients only, so each operand is split
+    # once into its positive and negated negative parts; a square shares p's parts
+    ps = [(s, {k: v * s for k, v in p.items() if v * s > 0}) for s in (1, -1)]
+    qs = ps if q is p else [(s, {k: v * s for k, v in q.items() if v * s > 0})
+                            for s in (1, -1)]
     out: dict[tuple[int, int], int] = {}
-    for sp in (1, -1):
-        pp = {k: v * sp for k, v in p.items() if v * sp > 0}
-        for sq in (1, -1):
-            qq = {k: v * sq for k, v in q.items() if v * sq > 0}
-            if pp and qq:
-                for k, v in _mul_kronecker(pp, qq).items():
-                    out[k] = out.get(k, 0) + sp * sq * v
+    for (sp, pp), (sq, qq) in ((a, b) for a in ps for b in qs):
+        if pp and qq:
+            for k, v in _mul_kronecker(pp, qq).items():
+                out[k] = out.get(k, 0) + sp * sq * v
     return {k: v for k, v in out.items() if v}
 
 

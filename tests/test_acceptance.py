@@ -7,7 +7,7 @@ wall-clock budgets.
 import math
 import time
 
-from rank2cluster.cli import build_checks, build_parser, run_check
+from rank2cluster.cli import build_checks, build_parser, run_checks
 from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ClusterContext, mod_binom
 from rank2cluster.recurrence import scalar_cluster_value
@@ -32,8 +32,7 @@ def _run_registry(kind, points=None, min_c=0):
     if points is None:
         points = {(c, n) for c, n in _grid() if c >= min_c}
     assert {(d.get("c"), d.get("n")) for d in checks} == points, kind
-    for desc in checks:
-        name, ok, detail, _ = run_check(desc)
+    for name, ok, detail, _ in run_checks(checks):
         assert ok, f"{name}: {detail}"
 
 

@@ -106,24 +106,33 @@ def test_identities_takes_only_cell_sum_and_classes_from_closedform():
     }
 
 
-def test_no_module_level_mutable_state_outside_cli():
+def _called_name(node):
+    """The last name of a call or decorator: `cache` for `functools.cache(f)`."""
+    node = getattr(node, "func", node)
+    return getattr(node, "attr", getattr(node, "id", None))
+
+
+def test_no_module_level_mutable_state():
     # a memo belongs to the ClusterContext that owns its tables; a module-level
-    # dict, list, set or lock would be a hidden memo shared by every caller
+    # dict, list, set, lock or functools cache would be a hidden memo shared by
+    # every caller, and no module is exempt
     containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    stateful = ("Lock", "RLock", "cache", "lru_cache")
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
-        if path.stem == "cli":
-            continue
         for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_called_name(d) in stateful for d in node.decorator_list):
+                    found.append(f"{path.name}:{node.lineno}")
+                continue
             if isinstance(node, ast.Assign):
                 names = [getattr(t, "id", None) for t in node.targets]
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
                 names = [getattr(node.target, "id", None)]
             else:
                 continue
-            func = getattr(node.value, "func", None)
-            lock = getattr(func, "attr", getattr(func, "id", None)) in ("Lock", "RLock")
-            if names != ["__all__"] and (isinstance(node.value, containers) or lock):
+            call = isinstance(node.value, ast.Call) and _called_name(node.value) in stateful
+            if names != ["__all__"] and (isinstance(node.value, containers) or call):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

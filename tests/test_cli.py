@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -208,7 +210,7 @@ def test_verify_c_keeps_the_c_independent_suite(capsys):
 def test_verify_accepts_the_benchmark_configurations(capsys, monkeypatch):
     # the counts perfbench/run.py expects (VERIFY_CHECKS) pass the --c guard;
     # the checks themselves are stubbed, so nothing heavy runs
-    monkeypatch.setattr(cli, "run_check", lambda desc: (desc["name"], True, "stub", 0.0))
+    monkeypatch.setattr(cli, "run_check", lambda desc, ctx: (desc["name"], True, "stub", 0.0))
     for argv, count in (((), 156), (("--c", "2", "--n-max", "6"), 30)):
         code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
         assert code == 0
@@ -320,16 +322,30 @@ def test_verify_under_optimize_flag():
 
 
 def test_verify_parallel_jobs_match_serial(capsys):
-    serial = run_cli(
-        capsys, "verify", "--c", "2", "--n-max", "4", "--suite", "grid",
-        "--format", "json",
-    )
+    # three values of c, so three pool tasks and two workers
+    serial = run_cli(capsys, "verify", "--n-max", "4", "--suite", "grid", "--format", "json")
     parallel = run_cli(
-        capsys, "verify", "--c", "2", "--n-max", "4", "--suite", "grid",
-        "--format", "json", "--jobs", "2",
+        capsys, "verify", "--n-max", "4", "--suite", "grid", "--format", "json", "--jobs", "2",
     )
     assert serial[0] == parallel[0] == 0
     assert serial[1] == parallel[1]
+
+
+def test_verify_builds_one_context_per_c_and_frees_them(capsys, monkeypatch):
+    # the run owns its contexts: each c's memos are built once and dropped with it
+    made = []
+
+    class Recorded(ClusterContext):  # no __slots__, so it can be weakly referenced
+        def __init__(self, c):
+            super().__init__(c)
+            made.append((c, weakref.ref(self)))
+
+    monkeypatch.setattr(cli, "ClusterContext", Recorded)
+    code, _, _ = run_cli(capsys, "verify", "--n-max", "4", "--suite", "grid")
+    assert code == 0
+    assert sorted(c for c, _ in made) == [2, 3, 4]
+    gc.collect()
+    assert [c for c, ref in made if ref() is not None] == []
 
 
 def _checks(*argv):
@@ -348,8 +364,8 @@ def test_registry_size_and_unique_names():
 def test_vanishing_detail_says_where_the_check_is_definitional():
     # with no staged sum below the cell value, the check restates its hypothesis
     definitional = []
-    for desc in _checks("--suite", "vanishing"):
-        name, ok, detail, _ = cli.run_check(desc)
+    checks = _checks("--suite", "vanishing")
+    for desc, (name, ok, detail, _) in zip(checks, cli.run_checks(checks)):
         assert ok
         if _vanishing_stages(ClusterContext(desc["c"]), desc["n"]):
             assert detail == "100 negative-pairing cells vanish"
@@ -397,9 +413,9 @@ def test_each_check_kind_can_fail(monkeypatch, kind, name, corrupt):
     # a check that always passed would hide a broken library from verify and
     # from the acceptance criteria that run it
     desc = {"kind": kind, "name": kind, "c": 3, "n": 5, "trials": 20, "seed": 0}
-    assert cli.run_check(desc)[1] is True
+    assert cli.run_checks([desc])[0][1] is True
     monkeypatch.setattr(cli, name, corrupt(getattr(cli, name)))
-    assert cli.run_check(desc)[1] is False
+    assert cli.run_checks([desc])[0][1] is False
 
 
 def test_raising_check_fails_alone(capsys, monkeypatch):
@@ -408,9 +424,10 @@ def test_raising_check_fails_alone(capsys, monkeypatch):
     def broken(ctx, n, seed):
         raise KeyError("missing row")
 
-    monkeypatch.setitem(cli._CHECK_KINDS, "positivity", broken)
+    monkeypatch.setattr(cli, "_CHECK_KINDS", {**cli._CHECK_KINDS, "positivity": broken})
     desc = {"kind": "positivity", "name": "positivity/c3/n05", "c": 3, "n": 5, "seed": 0}
-    assert cli.run_check(desc)[:3] == ("positivity/c3/n05", False, "KeyError: 'missing row'")
+    result = cli.run_checks([desc])[0]
+    assert result[:3] == ("positivity/c3/n05", False, "KeyError: 'missing row'")
 
     code, out, err = run_cli(capsys, "verify", "--c", "2", "--n-max", "5", "--format", "json")
     assert code == 1
@@ -473,10 +490,11 @@ def test_renderers_round_trip_values_wider_than_int_str_limit():
 
 
 def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):
-    # the pool is faked, so no worker process starts whatever --jobs says
-    argv = ("verify", "--c", "2", "--n-max", "4", "--suite", "grid", "--format", "json")
+    # the pool is faked, so no worker process starts whatever --jobs says; each
+    # value of c is one task
+    argv = ("verify", "--n-max", "4", "--suite", "grid", "--format", "json")
     serial = run_cli(capsys, *argv)
-    n_checks = len(_checks(*argv[1:]))
+    n_groups = len({desc["c"] for desc in _checks(*argv[1:])})
     recorded = []
 
     class SerialPool:
@@ -498,4 +516,4 @@ def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):
         recorded.clear()
         parallel = run_cli(capsys, *argv, "--jobs", "100000")
         assert parallel[:2] == serial[:2]
-        assert len(recorded) == 1 and 1 < recorded[0] <= min(cores, n_checks)
+        assert len(recorded) == 1 and 1 < recorded[0] <= min(cores, n_groups)

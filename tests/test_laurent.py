@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rank2cluster import laurent
 from rank2cluster.laurent import (
     ONE,
     X1,
@@ -259,6 +260,25 @@ def test_mul_terms_signed_wider_than_safe_digits():
     q = {(i, -j): coeff(2) for i in range(4) for j in range(2)}
     assert _mul_terms(p, q) == schoolbook(p, q)
     assert _mul_terms(p, p) == schoolbook(p, p)
+
+
+def test_signed_square_shares_its_parts(monkeypatch):
+    # a signed square splits its operand once, so each same-sign product hands
+    # the kernel one operand twice and encodes it once
+    same = []
+
+    def spy(p, q):
+        same.append(p is q)
+        return _mul_kronecker(p, q)
+
+    monkeypatch.setattr(laurent, "_mul_kronecker", spy)
+    p = {(0, 0): 2, (1, 0): -3, (0, 1): 5}
+    assert _mul_terms(p, p) == schoolbook(p, p)
+    assert same == [True, False, False, True]
+    same.clear()
+    q = dict(p)
+    assert _mul_terms(p, q) == schoolbook(p, q)
+    assert same == [False] * 4
 
 
 def random_terms(rng, size, step, span=40):
