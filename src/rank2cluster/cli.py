@@ -14,7 +14,6 @@ import random
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -55,40 +54,35 @@ class UsageError(Exception):
 # rendering
 
 
+def _records(items, keys: tuple[str, str, str], fmt: str) -> str:
+    """Sorted (i, j) -> value cells as tsv rows, or as a JSON array of objects.
+
+    Every field is an int or a digit string, which JSON writes without
+    escapes, so the array is the json module's text for the list of dicts.
+    """
+    if fmt != "json":
+        return "\n".join(f"{i}\t{j}\t{_int_to_digits(v)}" for (i, j), v in items)
+    ki, kj, kv = keys
+    return "[" + ", ".join(
+        f'{{"{ki}": {i}, "{kj}": {j}, "{kv}": "{_int_to_digits(v)}"}}'
+        for (i, j), v in items
+    ) + "]"
+
+
 def render_poly(poly: LaurentPoly2, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([
-            {"d1": d1, "d2": d2, "coeff": _int_to_digits(v)}
-            for (d1, d2), v in poly.items()
-        ])
-    if fmt == "tsv":
-        return "\n".join(
-            f"{d1}\t{d2}\t{_int_to_digits(v)}" for (d1, d2), v in poly.items()
-        )
-    return str(poly)
+    if fmt == "pretty":
+        return str(poly)
+    return _records(poly.items(), ("d1", "d2", "coeff"), fmt)
 
 
 def render_chi_table(table, fmt: str) -> str:
+    rows = _records(table.items(), ("e1", "e2", "value"), fmt)
+    c, n, (an1, an2) = table.c, table.n, table.dim_vector
     if fmt == "json":
-        return json.dumps({
-            "c": table.c,
-            "n": table.n,
-            "dim": list(table.dim_vector),
-            "chi": [
-                {"e1": e1, "e2": e2, "value": _int_to_digits(v)}
-                for (e1, e2), v in table.items()
-            ],
-        })
-    rows = "\n".join(
-        f"{e1}\t{e2}\t{_int_to_digits(v)}" for (e1, e2), v in table.items()
-    )
+        return f'{{"c": {c}, "n": {n}, "dim": [{an1}, {an2}], "chi": {rows}}}'
     if fmt == "tsv":
         return rows
-    head = (
-        f"# c={table.c} n={table.n} "
-        f"dim=({table.dim_vector[0]},{table.dim_vector[1]})"
-    )
-    return head + "\n" + rows
+    return f"# c={c} n={n} dim=({an1},{an2})\n" + rows
 
 
 def render_chi_value(c: int, n: int, e1: int, e2: int, value: int, fmt: str) -> str:
@@ -375,6 +369,8 @@ def cmd_verify(args) -> int:
     groups = [[desc for desc in checks if desc.get("c") == c] for c in cs]
     workers = min(args.jobs, len(groups), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(run_checks, groups))
     else:

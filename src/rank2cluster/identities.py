@@ -71,29 +71,24 @@ def vandermonde_sides(
     """Both sides of the weighted convolution identity, evaluated exactly.
 
     Left side sums P(w)*[a; w]*[b; m-w]; right side sums
-    P(w)*[a; a-w]*[b; b-m+w] ([x; y] the extended binomial).  Requires
-    a + b >= deg P >= 0, which also guarantees both supports are finite:
-    each side is summed over the window outside which one factor vanishes.
+    P(w)*[a; a-w]*[b; b-m+w] ([x; y] the extended binomial).  Every term
+    of either side vanishes outside the one window
+    min(m-b, 0) <= w <= max(a, m), so both are summed over it together.
+    The identity needs a + b >= deg P >= 0.
     """
     q = poly.degree
     if q < 0 or a + b < q:
         raise ValueError(
             f"need a + b >= deg P >= 0; got a={a}, b={b}, deg={q}"
         )
-    lo = m - b
-    hi = a
-    if a >= 0:
-        lo = max(lo, 0)
-    if b >= 0:
-        hi = min(hi, m)
-    lhs = Fraction(0)
-    for w in range(lo, hi + 1):
-        lhs += poly(w) * mod_binom(a, w) * mod_binom(b, m - w)
-    lo = 0 if b < 0 else max(0, m - b)
-    hi = m if a < 0 else min(m, a)
-    rhs = Fraction(0)
-    for w in range(lo, hi + 1):
-        rhs += poly(w) * mod_binom(a, a - w) * mod_binom(b, b - m + w)
+    lhs = rhs = Fraction(0)
+    for w in range(min(m - b, 0), max(a, m) + 1):
+        left = mod_binom(a, w) * mod_binom(b, m - w)
+        right = mod_binom(a, a - w) * mod_binom(b, b - m + w)
+        if left or right:
+            pw = poly(w)
+            lhs += pw * left
+            rhs += pw * right
     return lhs, rhs
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rank2cluster import cli
 from rank2cluster.cli import main
@@ -271,11 +272,16 @@ REFERENCE = json.loads(
     "argv",
     [
         f"chi --c {c} --n {n} --method formula --format json"
-        for c, n in ((2, 8), (3, 6), (4, 7), (2, 40))
+        for c, n in ((2, 8), (3, 6), (4, 7), (2, 40), (5, 7))
     ]
     + [
         f"expand --c {c} --n {n} --method both --format json"
-        for c, n in ((2, 8), (3, 6), (4, 7))
+        for c, n in ((2, 8), (3, 6), (4, 7), (8, 6), (7, 6))
+    ]
+    + [
+        pytest.param(f"expand --c 2 --n {n} --method both --format json",
+                     marks=pytest.mark.slow)
+        for n in (40, 45)
     ],
 )
 def test_stdout_matches_benchmark_reference_digest(capsys, argv):
@@ -305,6 +311,20 @@ def test_package_main_module():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-1\t0\t1\n-1\t2\t1\nMATCH\n"
+
+
+def test_importing_the_cli_starts_no_process_pool_machinery():
+    # verify imports its pool only when it starts one
+    code = (
+        "import sys; before = set(sys.modules); import rank2cluster.cli; "
+        "import json; print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "rank2cluster.cli" in added
+    assert "concurrent.futures.process" not in added
+    assert not [m for m in added if m.split(".")[0] == "multiprocessing"]
 
 
 def test_verify_under_optimize_flag():
@@ -489,6 +509,44 @@ def test_renderers_round_trip_values_wider_than_int_str_limit():
     assert cli.render_chi_table(table, "pretty") == "# c=2 n=4 dim=(2,1)\n" + tsv
 
 
+# cell values: small ones, zero and negatives, and values wider than one
+# 640-digit chunk of _int_to_digits and than the interpreter's 4300-digit limit
+cell_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(
+        lambda sign, width, low: sign * (10 ** (width - 1) + low),
+        st.sampled_from((-1, 1)),
+        st.sampled_from((641, 1281, 4301, 5000)),
+        st.integers(0, 10**6),
+    ),
+)
+cell_maps = st.dictionaries(
+    st.tuples(st.integers(-40, 40), st.integers(-40, 40)), cell_values, max_size=8
+)
+
+
+@given(cell_maps)
+@example({})
+@settings(max_examples=60)
+def test_records_equal_the_json_module_and_the_tsv_join(cells):
+    items = sorted(cells.items())
+    for keys in (("d1", "d2", "coeff"), ("e1", "e2", "value")):
+        ki, kj, kv = keys
+        want = json.dumps(
+            [{ki: i, kj: j, kv: _int_to_digits(v)} for (i, j), v in items]
+        )
+        assert cli._records(items, keys, "json") == want
+        rows = "\n".join(f"{i}\t{j}\t{_int_to_digits(v)}" for (i, j), v in items)
+        assert cli._records(items, keys, "tsv") == rows
+    table = ChiTable(3, 5, (8, 3), cells)
+    assert cli.render_chi_table(table, "json") == json.dumps({
+        "c": 3,
+        "n": 5,
+        "dim": [8, 3],
+        "chi": [{"e1": i, "e2": j, "value": _int_to_digits(v)} for (i, j), v in items],
+    })
+
+
 def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):
     # the pool is faked, so no worker process starts whatever --jobs says; each
     # value of c is one task
@@ -510,7 +568,7 @@ def test_verify_jobs_bounded_by_checks_and_cores(capsys, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     for cores in (3, 64):
         monkeypatch.setattr(cli.os, "cpu_count", lambda cores=cores: cores)
         recorded.clear()
