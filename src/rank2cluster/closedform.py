@@ -2,11 +2,15 @@
 
 The admissible tuples are enumerated once per depth, by one walk
 (enumerate_admissible) that carries each tuple's partial sums and its
-binomial product as it descends.  A tuple enters every sum only through
-that product and its last two partial sums (s_{n-3}, s_{n-4}), so the
-tuples are summed into classes by those two sums (_leaves: 10761 tuples
-become 514 classes at c=2, n=40).  Every factor past the classes is read
-from one row of extended binomials C(t, 0), C(t, 1), ... (_binom_row).
+binomial product as it descends.  The walk keeps its per-level state in
+flat lists, one explicit stack, so each visited node costs a fixed number
+of interpreter steps; a generator per level would pass every tuple up
+through one yield per level, 37 to 42 of them at c=2, n=40 to 45.  A
+tuple enters every sum only through that product and its last two partial
+sums (s_{n-3}, s_{n-4}), so the tuples are summed into classes by those
+two sums (_leaves: 10761 tuples become 514 classes at c=2, n=40).  Every
+factor past the classes is read from one row of extended binomials
+C(t, 0), C(t, 1), ... (_binom_row).
 
 Each class fixes the middle binomial C(a_{n-2} - c*s_{n-3}, e2 - s_{n-4})
 of every e2 row it reaches, and the trailing factor depends only on e2
@@ -74,24 +78,52 @@ def enumerate_admissible(
     binomials C(a_{i+1} - c*s_i, t_i).  Level i admits
     0 <= t_i <= a_{i+1} - c*s_i; a branch whose bound goes negative yields
     nothing.  Requires 0 <= depth <= n - 3.
+
+    The walk is iterative: level i holds its entry, bound, binomial and
+    prefix weight in lists indexed by i, a finished level steps the level
+    above to its next entry, and the last level runs as one loop over its
+    entries.  Tuples come in lexicographic order; each item holds new
+    tuples, never the walk's own lists.
     """
     if not (0 <= depth <= n - 3):
         raise ValueError(f"depth must lie in [0, n-3] = [0, {n - 3}], got {depth}")
+    if not depth:
+        yield (), (0,), 1
+        return
     c = ctx.c
-
-    def rec(entries: tuple, s_values: tuple, weight: int, i: int):
-        if i == depth:
-            yield entries, s_values, weight
-            return
-        s_i = s_values[i]
-        top = ctx.a(i + 1) - c * s_i
-        base = c * s_i - (s_values[i - 1] if i else 0)  # s_{i+1} at t_i = 0
-        b = 1
-        for t in range(top + 1):
-            yield from rec(entries + (t,), s_values + (base + t,), weight * b, i + 1)
-            b = _binom_step(b, top, t)
-
-    yield from rec((), (0,), 1, 0)
+    last = depth - 1
+    bounds = [ctx.a(i + 1) for i in range(depth)]
+    entries = [0] * depth  # the current prefix t_0, ..., t_i
+    sv = [0] * (depth + 1)  # its partial sums s_0, ..., s_{i+1}
+    tops = [bounds[0]] + [0] * last  # level bounds a_{i+1} - c*s_i
+    bases = [0] * depth  # s_{i+1} at t_i = 0, that is c*s_i - s_{i-1}
+    binoms = [1] * depth  # C(tops[i], entries[i])
+    weights = [1] * depth  # product of binoms[j] over j < i
+    i = 0
+    while i >= 0:
+        t = entries[i]
+        if t > tops[i]:  # level i is done: step the level above to its next entry
+            i -= 1
+            if i >= 0:
+                binoms[i] = _binom_step(binoms[i], tops[i], entries[i])
+                entries[i] += 1
+            continue
+        if i == last:  # the leaf level, in one loop
+            top, base, w, b = tops[i], bases[i], weights[i], 1
+            for t in range(top + 1):
+                entries[i] = t
+                sv[depth] = base + t
+                yield tuple(entries), tuple(sv), w * b
+                b = _binom_step(b, top, t)
+            entries[i] = top + 1
+            continue
+        s = sv[i + 1] = bases[i] + t
+        i += 1
+        tops[i] = bounds[i] - c * s
+        bases[i] = c * s - sv[i - 1]
+        entries[i] = 0
+        binoms[i] = 1
+        weights[i] = weights[i - 1] * binoms[i - 1]
 
 
 def _leaves(ctx: ClusterContext, depth: int) -> tuple[tuple[int, int, int], ...]:

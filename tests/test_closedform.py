@@ -23,7 +23,36 @@ from rank2cluster.laurent import LaurentPoly2
 from rank2cluster.recurrence import chi_from_expansion, cluster_var_recurrence
 
 
+def recursive_walk(ctx, n, depth):
+    """The admissible-tuple walk as one generator per level, each item passed up
+    through every level; a reference for the stream of enumerate_admissible."""
+    c = ctx.c
+
+    def rec(entries, s_values, weight, i):
+        if i == depth:
+            yield entries, s_values, weight
+            return
+        s_i = s_values[i]
+        top = ctx.a(i + 1) - c * s_i
+        base = c * s_i - (s_values[i - 1] if i else 0)  # s_{i+1} at t_i = 0
+        b = 1
+        for t in range(top + 1):
+            yield from rec(entries + (t,), s_values + (base + t,), weight * b, i + 1)
+            b = _binom_step(b, top, t)
+
+    yield from rec((), (0,), 1, 0)
+
+
 class TestEnumerateAdmissible:
+    @pytest.mark.parametrize("c, n", [(2, 20), (3, 8), (4, 7), (5, 6)])
+    def test_stream_equals_the_recursive_walk(self, c, n):
+        # every depth from 0 to n - 3: same items, same order
+        ctx = ClusterContext(c)
+        for depth in range(n - 2):
+            assert list(enumerate_admissible(ctx, n, depth)) == list(
+                recursive_walk(ctx, n, depth)
+            ), depth
+
     def test_depth_one_single_tuple(self):
         got = list(enumerate_admissible(ClusterContext(2), 4, 1))
         assert [entries for entries, _, _ in got] == [(0,)]

@@ -1,13 +1,15 @@
 import decimal
+import math
 import random
 import sys
 import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rank2cluster import laurent
+from rank2cluster.combinat import ClusterContext
 from rank2cluster.laurent import (
     ONE,
     X1,
@@ -19,6 +21,7 @@ from rank2cluster.laurent import (
     _mul_kronecker,
     _mul_terms,
 )
+from rank2cluster.recurrence import cluster_var_recurrence
 
 
 def poly(d):
@@ -30,6 +33,21 @@ small_polys = st.dictionaries(
     st.integers(-99, 99),
     max_size=8,
 ).map(poly)
+
+
+def update_paths(monkeypatch):
+    """Send every far-row block of exact_div through _mul_terms (ratio 0), then
+    none of them (ratio infinity); yields the ratio set."""
+    for ratio in (0, math.inf):
+        monkeypatch.setattr(laurent, "_DENSE_RATIO", ratio)
+        yield ratio
+
+
+# each example sets the ratio itself, so the fixture may span the examples
+with_monkeypatch = settings(
+    suppress_health_check=[*settings.default.suppress_health_check,
+                           HealthCheck.function_scoped_fixture]
+)
 
 
 def test_add_cancellation():
@@ -51,18 +69,20 @@ def test_pow_negative_exponent_rejected():
         X1 ** (-1)
 
 
-def test_exact_div_monomial():
+def test_exact_div_monomial(monkeypatch):
     p = poly({(2, 1): 1, (0, 1): 1})
-    assert p.exact_div(X2) == poly({(2, 0): 1, (0, 0): 1})
+    for ratio in update_paths(monkeypatch):
+        assert p.exact_div(X2) == poly({(2, 0): 1, (0, 0): 1}), ratio
 
 
-def test_exact_div_inexact_raises_with_remainder():
+def test_exact_div_inexact_raises_with_remainder(monkeypatch):
     # a nonzero row is left below the divisor's top row
     q = ONE + X2**2
     p = q**2 + X1**2
-    with pytest.raises(InexactDivisionError) as exc:
-        p.exact_div(q)
-    assert exc.value.remainder == X1**2
+    for ratio in update_paths(monkeypatch):
+        with pytest.raises(InexactDivisionError) as exc:
+            p.exact_div(q)
+        assert exc.value.remainder == X1**2, ratio
 
 
 @pytest.mark.parametrize(
@@ -72,16 +92,59 @@ def test_exact_div_inexact_raises_with_remainder():
         (X2 + 1, X1 * X2 + 1, ONE + X2),  # leading x1 exponent below the divisor's
     ],
 )
-def test_exact_div_remainder_at_each_failure_exit(p, q, remainder):
-    with pytest.raises(InexactDivisionError) as exc:
-        p.exact_div(q)
-    assert exc.value.remainder == remainder
+def test_exact_div_remainder_at_each_failure_exit(p, q, remainder, monkeypatch):
+    for ratio in update_paths(monkeypatch):
+        with pytest.raises(InexactDivisionError) as exc:
+            p.exact_div(q)
+        assert exc.value.remainder == remainder, ratio
 
 
-def test_exact_div_laurent_divisor():
+def test_exact_div_fills_rows_the_dividend_lacks(monkeypatch):
+    # (1 + x2^6) / (1 + x2^2): each row of the quotient sends its far product
+    # to a row the dividend does not have
+    p = ONE + X2**6
+    for ratio in update_paths(monkeypatch):
+        assert p.exact_div(ONE + X2**2) == ONE - X2**2 + X2**4, ratio
+
+
+def test_exact_div_laurent_divisor(monkeypatch):
     d = X1 + LaurentPoly2.monomial(-1, 0)
     p = (ONE + X2**2) * d
-    assert p.exact_div(d) == ONE + X2**2
+    for ratio in update_paths(monkeypatch):
+        assert p.exact_div(d) == ONE + X2**2, ratio
+
+
+def test_exact_div_update_paths_agree_on_the_recurrence(monkeypatch):
+    xs = [cluster_var_recurrence(ClusterContext(2), 30) for _ in update_paths(monkeypatch)]
+    assert xs[0] == xs[1]
+
+
+@pytest.mark.parametrize(
+    "c, n, ratio, multiplies",
+    [
+        (2, 30, 0, True),
+        (2, 30, math.inf, False),
+        # the default ratio: dense blocks at c=2 (largest ratio 51), none at
+        # (4,7) (largest 14)
+        (2, 30, laurent._DENSE_RATIO, True),
+        (4, 7, laurent._DENSE_RATIO, False),
+    ],
+)
+def test_exact_div_block_path_is_the_only_multiply(monkeypatch, c, n, ratio, multiplies):
+    # x_n = (x_{n-1}^c + 1) / x_{n-2}; the divisor has far rows at both points
+    ctx = ClusterContext(c)
+    den, prev, quot = (cluster_var_recurrence(ctx, k) for k in (n - 2, n - 1, n))
+    num = prev**c + ONE
+    calls = []
+
+    def spy(p, q):
+        calls.append(1)
+        return _mul_terms(p, q)
+
+    monkeypatch.setattr(laurent, "_DENSE_RATIO", ratio)
+    monkeypatch.setattr(laurent, "_mul_terms", spy)
+    assert num.exact_div(den) == quot
+    assert bool(calls) is multiplies
 
 
 def test_exact_div_by_zero():
@@ -176,26 +239,30 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@with_monkeypatch
 @given(small_polys, small_polys)
-def test_mul_round_trips_through_exact_div(p, q):
+def test_mul_round_trips_through_exact_div(monkeypatch, p, q):
     if not q:
         return
-    assert (p * q).exact_div(q) == p
+    for ratio in update_paths(monkeypatch):
+        assert (p * q).exact_div(q) == p, ratio
 
 
+@with_monkeypatch
 @given(small_polys, small_polys)
-def test_exact_div_succeeds_or_reports_a_true_remainder(p, q):
+def test_exact_div_succeeds_or_reports_a_true_remainder(monkeypatch, p, q):
     # either q divides p, or p - remainder is a multiple of q
     if not q:
         return
-    try:
-        quot = p.exact_div(q)
-    except InexactDivisionError as exc:
-        r = exc.remainder
-        assert r
-        (p - r).exact_div(q)
-    else:
-        assert quot * q == p
+    for ratio in update_paths(monkeypatch):
+        try:
+            quot = p.exact_div(q)
+        except InexactDivisionError as exc:
+            r = exc.remainder
+            assert r, ratio
+            (p - r).exact_div(q)
+        else:
+            assert quot * q == p, ratio
 
 
 @given(small_polys, st.integers(0, 6))
