@@ -15,10 +15,14 @@ thread context is neither read nor changed.  A signed operand is split into
 its positive part and its negated negative part, and the products of the
 parts are added with their signs.
 
-Exact division is a long division in rows of x2 degree.  Each quotient row
-is subtracted at once times the divisor's rows near its top, and a block
-of quotient rows at a time times its far rows; a dense block goes through
-the multiply above, with the far rows encoded once per block (see
+Exact division is a long division in rows of x2 degree.  Where both
+operands are nonnegative and the divisor's top row is one monomial with
+coefficient 1, as for every x_k of the recurrence, each row is held as one
+int, with a w-bit slot per x1 exponent and 2**w > max(dividend) *
+sum(divisor), and each divisor term subtracts one scalar multiple of the
+quotient row from the row it lands on.  The quotient is proved, not
+assumed, and any division that does not qualify or fails the proof takes
+the plain row loop, which also reports the remainder (see
 LaurentPoly2.exact_div).
 """
 from __future__ import annotations
@@ -179,33 +183,40 @@ class LaurentPoly2:
         """Quotient q with q * other == self, or InexactDivisionError.
 
         Both operands are shifted by monomials into ordinary polynomials and
-        split once into rows by x2 degree.  The remainder's rows are taken
-        from the top down to the divisor's top row dq; each is reduced in
-        place by that top row, leading x1 term first, into one quotient row.
+        split once into rows by x2 degree.  Two paths divide them, both from
+        the top row down to the divisor's top row dq.
 
-        The divisor's lower rows are split at half their x2 span,
-        h = ceil(dq / 2).  A quotient row's product with the *near* rows, 1
-        to h below the top, is subtracted at once, row by row, because the
-        next rows to be reduced need it.  Its product with the *far* rows
-        lands more than h rows down, so the far products of a block of
-        quotient rows spanning h degrees wait until the block closes and are
-        subtracted together.  A dense block takes one _mul_terms call, so
-        the far rows are encoded once per block.  That is why this beats
-        sending each quotient row's product through the multiply, which
-        re-encoded the whole divisor per row; spreading a fixed cost over a
-        block of output is the idea of relaxed multiplication (van der
-        Hoeven, J. Symb. Comput. 2002).  Any other block takes the row loop.
+        *Packed rows* (_packed_quotient) apply when every coefficient is
+        nonnegative and the divisor's top row is one monomial x1^db with
+        coefficient 1, as for every x_k of the recurrence.  The x1 exponents
+        are divided by their gcd, and each remainder row is one int with a
+        w-bit slot per x1 exponent, 2**w > max(self) * sum(other), packed
+        and unpacked through bytes.  A row r that is negative or has bits
+        below slot db ends the attempt; otherwise its quotient row is
+        q = r >> db*w, and each lower divisor term x1^e1 x2^e2 with
+        coefficient v subtracts one scalar multiple (q * v) << e1*w from the
+        row dq - e2 below r.  Each such step is linear in the row.
+        Multiplying packed quotient rows by packed divisor rows instead pads
+        every small divisor coefficient to a full slot; that was 2.25 and
+        3.25 times slower at (3, 9) and (4, 8) than the dict division before
+        it.
 
-        A block is dense when its multiply-adds are at least _DENSE_RATIO
-        times its estimated product cells.  Rows and x1 exponents are
-        counted as distinct values, so the lattice step c cancels.  The
-        largest block ratios are 14 at (4,7), 2.8 at (8,6) and (7,6), 26
-        at (5,7), 32.1 at (3,8) (its one dense block), and 96 and 128 at
-        c=2, n=40 and 45.
+        The packed quotient is proved, not assumed: every row below dq must
+        end at 0, and every decoded quotient coefficient must lie in
+        [0, max(self)].  Then every coefficient of self - q * other has
+        magnitude below X = 2**w, and each of its rows, read as a polynomial
+        with one coefficient per slot, vanishes at X by the packed
+        arithmetic.  A polynomial whose coefficients are all smaller than X
+        in magnitude and that vanishes at X is zero, so self == q * other
+        exactly.
 
-        The open block is flushed before the loop ends, also when a leftover
-        row ends it, so anything left is self minus the partial quotient
-        times the divisor, and is raised as the error's `.remainder`.
+        Any other division, and any that fails a condition above, takes the
+        row loop: each remainder row is reduced in place by the divisor's
+        top row, leading x1 term first, into one quotient row, whose product
+        with the divisor's lower rows is then subtracted at once.  If a row
+        cannot be reduced, the remainder, self minus the partial quotient
+        times the divisor, is raised as the error's `.remainder`.  On an
+        exact division both paths give the same quotient.
         """
         other = _coerce(other)
         if other is NotImplemented or not isinstance(other, LaurentPoly2):
@@ -218,80 +229,22 @@ class LaurentPoly2:
         # the shift keeps exponents small cached ints; raw ones ran 10-20 % slower
         s1p, s2p = self.min_exponents()
         s1q, s2q = other.min_exponents()
-        rem: dict[int, dict[int, int]] = {}
+        num: dict[int, dict[int, int]] = {}
         for (d1, d2), v in self._terms.items():
-            rem.setdefault(d2 - s2p, {})[d1 - s1p] = v
-        lower: dict[int, dict[int, int]] = {}
+            num.setdefault(d2 - s2p, {})[d1 - s1p] = v
+        den: dict[int, dict[int, int]] = {}
         for (d1, d2), v in other._terms.items():
-            lower.setdefault(d2 - s2q, {})[d1 - s1q] = v
-        dq = max(lower)
-        top = lower.pop(dq)
-        db = max(top)
-        lb = top[db]
-        h = (dq + 1) // 2
-        near = {e2: row for e2, row in lower.items() if e2 >= dq - h}
-        far_rows = {e2: row for e2, row in lower.items() if e2 < dq - h}
-        far = {(e1, e2): v for e2, row in far_rows.items() for e1, v in row.items()}
-        far_x1 = len({e1 for e1, _ in far})
-
-        def flush(block):
-            # the far rows' product with quotient rows (dr, f) of one block
-            x1 = len(set().union(*(f for _, f in block)))
-            cells = (len(block) + len(far_rows) - 1) * (x1 + far_x1 - 1)
-            if sum(len(f) for _, f in block) * len(far) < _DENSE_RATIO * cells:
-                for dr, f in block:
-                    _sub_rows(rem, f, far_rows, dr - dq)
-                return
-            quot = {(f1, dr - dq): fv for dr, f in block for f1, fv in f.items()}
-            for (k1, k2), v in _mul_terms(quot, far).items():
-                tgt = rem.setdefault(k2, {})
-                nv = tgt.get(k1, 0) - v
-                if nv:
-                    tgt[k1] = nv
-                else:
-                    del tgt[k1]
-                    if not tgt:
-                        del rem[k2]
-
+            den.setdefault(d2 - s2q, {})[d1 - s1q] = v
+        quot = _packed_quotient(num, den)
+        if quot is None:
+            quot = _row_quotient(num, den)
+            if num:
+                left = {
+                    (e1 + s1p, e2 + s2p): v for e2, row in num.items() for e1, v in row.items()
+                }
+                raise InexactDivisionError("inexact quotient", LaurentPoly2._raw(left))
         sh1, sh2 = s1p - s1q, s2p - s2q
-        out = {}
-        block: list[tuple[int, dict[int, int]]] = []
-        for dr in range(max(rem), dq - 1, -1):
-            if block and dr <= block[0][0] - h:  # a block spans h degrees of x2
-                flush(block)
-                block = []
-            row = rem.pop(dr, None)
-            if row is None:
-                continue
-            f = {}
-            while row:
-                da = max(row)
-                q, r = divmod(row[da], lb)
-                if da < db or r:
-                    break
-                f[da - db] = q
-                for e1, v in top.items():
-                    key = e1 + da - db
-                    nv = row.get(key, 0) - q * v
-                    if nv:
-                        row[key] = nv
-                    else:
-                        del row[key]
-            _sub_rows(rem, f, near, dr - dq)
-            if f and far:
-                block.append((dr, f))
-            out.update(((f1 + sh1, dr - dq + sh2), fv) for f1, fv in f.items())
-            if row:
-                rem[dr] = row
-                break
-        if block:
-            flush(block)
-        if rem:
-            left = {
-                (e1 + s1p, e2 + s2p): v for e2, row in rem.items() for e1, v in row.items()
-            }
-            raise InexactDivisionError("inexact quotient", LaurentPoly2._raw(left))
-        return LaurentPoly2._raw(out)
+        return LaurentPoly2._raw({(f1 + sh1, f2 + sh2): v for (f1, f2), v in quot.items()})
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -349,32 +302,110 @@ def _coerce(v):
     return NotImplemented
 
 
-# exact_div sends a block of quotient rows through _mul_terms when its
-# multiply-adds are at least this many times its estimated product cells.
-# Best of five in-process builds of x_n by the recurrence, against 32: 64 took
-# (2,40) from 0.42 to 0.51 s, 16 took (5,7) from 1.49 to 1.57 s, and 8 took
-# (4,7) from 0.09 to 0.14 s (2-core host, Python 3.11)
-_DENSE_RATIO = 32
+def _packed_quotient(num: dict, den: dict) -> dict | None:
+    """Packed-row quotient of LaurentPoly2.exact_div, or None.
 
-
-def _sub_rows(rem: dict, f: dict, rows: dict, shift: int) -> None:
-    """Subtract the product of quotient row f with each of rows from rem, in place.
-
-    Row e2 of rows times f lands on rem's row e2 + shift; a row left empty
-    is removed.
+    num and den map an x2 degree to a row {x1 degree: coefficient}, shifted
+    to nonnegative exponents; the quotient is keyed the same way.  None
+    means the path does not apply or could not prove its quotient, and the
+    caller's row loop divides instead.
     """
-    for e2, drow in rows.items():
-        tgt = rem.setdefault(e2 + shift, {})
-        for e1, v in drow.items():
-            for f1, fv in f.items():
-                key = e1 + f1
-                nv = tgt.get(key, 0) - fv * v
+    dq = max(den)
+    top = den[dq]
+    if len(top) != 1 or 1 not in top.values():
+        return None
+    (db,) = top
+    if any(min(row.values()) < 0 for rows in (num, den) for row in rows.values()):
+        return None
+    g = gcd(*(e1 for rows in (num, den) for row in rows.values() for e1 in row)) or 1
+    vmax = max(max(row.values()) for row in num.values())
+    bound = vmax * sum(sum(row.values()) for row in den.values())
+    size = (bound.bit_length() + 7) // 8  # bytes per slot, so 2**w > bound
+    w = 8 * size
+
+    rem = [0] * (max(num) + 1)
+    for e2, row in num.items():
+        buf = bytearray(size * (max(row) // g + 1))
+        for e1, v in row.items():
+            at = e1 // g * size
+            buf[at : at + size] = v.to_bytes(size, "little")
+        rem[e2] = int.from_bytes(buf, "little")
+    terms = [
+        (e2 - dq, e1 // g * w, v)
+        for e2, row in den.items() if e2 != dq
+        for e1, v in row.items()
+    ]
+    low = db // g * w
+    mask = (1 << low) - 1
+    quot = {}
+    for dr in range(len(rem) - 1, dq - 1, -1):
+        r = rem[dr]
+        if not r:
+            continue
+        if r < 0 or r & mask:
+            return None
+        q = r >> low
+        for e2, shift, v in terms:
+            rem[dr + e2] -= q * v << shift
+        raw = q.to_bytes((q.bit_length() + 7) // 8, "little")
+        for at in range(0, len(raw), size):
+            v = int.from_bytes(raw[at : at + size], "little")
+            if v:
+                if v > vmax:
+                    return None
+                quot[at // size * g, dr - dq] = v
+    if any(rem[:dq]):
+        return None
+    return quot
+
+
+def _row_quotient(num: dict, den: dict) -> dict:
+    """Row-loop quotient of LaurentPoly2.exact_div, on row maps as in
+    _packed_quotient.
+
+    Works in place: den loses its top row, and whatever the loop cannot
+    divide is left in num, which is empty exactly when the division is exact.
+    """
+    quot = {}
+    dq = max(den)
+    top = den.pop(dq)
+    db = max(top)
+    lb = top[db]
+    for dr in range(max(num), dq - 1, -1):
+        row = num.pop(dr, None)
+        if row is None:
+            continue
+        f = {}
+        while row:
+            da = max(row)
+            q, r = divmod(row[da], lb)
+            if da < db or r:
+                break
+            f[da - db] = q
+            for e1, v in top.items():
+                key = e1 + da - db
+                nv = row.get(key, 0) - q * v
                 if nv:
-                    tgt[key] = nv
+                    row[key] = nv
                 else:
-                    del tgt[key]
-        if not tgt:
-            del rem[e2 + shift]
+                    del row[key]
+        for e2, drow in den.items():
+            tgt = num.setdefault(e2 + dr - dq, {})
+            for e1, v in drow.items():
+                for f1, fv in f.items():
+                    key = e1 + f1
+                    nv = tgt.get(key, 0) - fv * v
+                    if nv:
+                        tgt[key] = nv
+                    else:
+                        del tgt[key]
+            if not tgt:
+                del num[e2 + dr - dq]
+        quot.update(((f1, dr - dq), fv) for f1, fv in f.items())
+        if row:
+            num[dr] = row
+            break
+    return quot
 
 
 def _mul_terms(p: dict, q: dict) -> dict:

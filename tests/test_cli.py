@@ -276,11 +276,7 @@ REFERENCE = json.loads(
     ]
     + [
         f"expand --c {c} --n {n} --method both --format json"
-        for c, n in ((2, 8), (3, 6), (4, 7), (8, 6), (7, 6), (2, 40))
-    ]
-    + [
-        pytest.param("expand --c 2 --n 45 --method both --format json",
-                     marks=pytest.mark.slow)
+        for c, n in ((2, 8), (3, 6), (4, 7), (8, 6), (7, 6), (2, 40), (2, 45))
     ],
 )
 def test_stdout_matches_benchmark_reference_digest(capsys, argv):

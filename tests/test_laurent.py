@@ -1,5 +1,4 @@
 import decimal
-import math
 import random
 import sys
 import threading
@@ -36,14 +35,14 @@ small_polys = st.dictionaries(
 
 
 def update_paths(monkeypatch):
-    """Send every far-row block of exact_div through _mul_terms (ratio 0), then
-    none of them (ratio infinity); yields the ratio set."""
-    for ratio in (0, math.inf):
-        monkeypatch.setattr(laurent, "_DENSE_RATIO", ratio)
-        yield ratio
+    """Divide by packed rows where that path applies, then by the row loop alone;
+    yields the path's name."""
+    yield "packed"
+    monkeypatch.setattr(laurent, "_packed_quotient", lambda num, den: None)
+    yield "rows"
 
 
-# each example sets the ratio itself, so the fixture may span the examples
+# each example picks the path itself, so the fixture may span the examples
 with_monkeypatch = settings(
     suppress_health_check=[*settings.default.suppress_health_check,
                            HealthCheck.function_scoped_fixture]
@@ -71,18 +70,18 @@ def test_pow_negative_exponent_rejected():
 
 def test_exact_div_monomial(monkeypatch):
     p = poly({(2, 1): 1, (0, 1): 1})
-    for ratio in update_paths(monkeypatch):
-        assert p.exact_div(X2) == poly({(2, 0): 1, (0, 0): 1}), ratio
+    for path in update_paths(monkeypatch):
+        assert p.exact_div(X2) == poly({(2, 0): 1, (0, 0): 1}), path
 
 
 def test_exact_div_inexact_raises_with_remainder(monkeypatch):
     # a nonzero row is left below the divisor's top row
     q = ONE + X2**2
     p = q**2 + X1**2
-    for ratio in update_paths(monkeypatch):
+    for path in update_paths(monkeypatch):
         with pytest.raises(InexactDivisionError) as exc:
             p.exact_div(q)
-        assert exc.value.remainder == X1**2, ratio
+        assert exc.value.remainder == X1**2, path
 
 
 @pytest.mark.parametrize(
@@ -93,25 +92,25 @@ def test_exact_div_inexact_raises_with_remainder(monkeypatch):
     ],
 )
 def test_exact_div_remainder_at_each_failure_exit(p, q, remainder, monkeypatch):
-    for ratio in update_paths(monkeypatch):
+    for path in update_paths(monkeypatch):
         with pytest.raises(InexactDivisionError) as exc:
             p.exact_div(q)
-        assert exc.value.remainder == remainder, ratio
+        assert exc.value.remainder == remainder, path
 
 
 def test_exact_div_fills_rows_the_dividend_lacks(monkeypatch):
-    # (1 + x2^6) / (1 + x2^2): each row of the quotient sends its far product
-    # to a row the dividend does not have
+    # (1 + x2^6) / (1 + x2^2): the quotient's rows land on rows the dividend does
+    # not have, and the packed attempt meets a negative row there
     p = ONE + X2**6
-    for ratio in update_paths(monkeypatch):
-        assert p.exact_div(ONE + X2**2) == ONE - X2**2 + X2**4, ratio
+    for path in update_paths(monkeypatch):
+        assert p.exact_div(ONE + X2**2) == ONE - X2**2 + X2**4, path
 
 
 def test_exact_div_laurent_divisor(monkeypatch):
     d = X1 + LaurentPoly2.monomial(-1, 0)
     p = (ONE + X2**2) * d
-    for ratio in update_paths(monkeypatch):
-        assert p.exact_div(d) == ONE + X2**2, ratio
+    for path in update_paths(monkeypatch):
+        assert p.exact_div(d) == ONE + X2**2, path
 
 
 def test_exact_div_update_paths_agree_on_the_recurrence(monkeypatch):
@@ -119,32 +118,78 @@ def test_exact_div_update_paths_agree_on_the_recurrence(monkeypatch):
     assert xs[0] == xs[1]
 
 
-@pytest.mark.parametrize(
-    "c, n, ratio, multiplies",
-    [
-        (2, 30, 0, True),
-        (2, 30, math.inf, False),
-        # the default ratio: dense blocks at c=2 (largest ratio 51), none at
-        # (4,7) (largest 14)
-        (2, 30, laurent._DENSE_RATIO, True),
-        (4, 7, laurent._DENSE_RATIO, False),
-    ],
-)
-def test_exact_div_block_path_is_the_only_multiply(monkeypatch, c, n, ratio, multiplies):
-    # x_n = (x_{n-1}^c + 1) / x_{n-2}; the divisor has far rows at both points
+def spy_on_division(monkeypatch):
+    """Record whether each _packed_quotient call proved its quotient, and fail on
+    any _mul_terms call."""
+    proved = []
+    packed = laurent._packed_quotient
+
+    def packed_spy(num, den):
+        quot = packed(num, den)
+        proved.append(quot is not None)
+        return quot
+
+    def no_multiply(p, q):
+        raise AssertionError("exact_div called _mul_terms")
+
+    monkeypatch.setattr(laurent, "_packed_quotient", packed_spy)
+    monkeypatch.setattr(laurent, "_mul_terms", no_multiply)
+    return proved
+
+
+@pytest.mark.parametrize("c, n", [(2, 30), (3, 7), (4, 7), (8, 5)])
+def test_exact_div_packed_path_proves_every_recurrence_step(monkeypatch, c, n):
+    # x_k = (x_{k-1}^c + 1) / x_{k-2}; the products are built before the spies
     ctx = ClusterContext(c)
-    den, prev, quot = (cluster_var_recurrence(ctx, k) for k in (n - 2, n - 1, n))
-    num = prev**c + ONE
-    calls = []
+    xs = [None] + [cluster_var_recurrence(ctx, k) for k in range(1, n + 1)]
+    steps = [(xs[k - 1] ** c + ONE, xs[k - 2], xs[k]) for k in range(3, n + 1)]
+    proved = spy_on_division(monkeypatch)
+    for num, den, quot in steps:
+        assert num.exact_div(den) == quot
+    assert proved == [True] * len(steps)
 
-    def spy(p, q):
-        calls.append(1)
-        return _mul_terms(p, q)
 
-    monkeypatch.setattr(laurent, "_DENSE_RATIO", ratio)
-    monkeypatch.setattr(laurent, "_mul_terms", spy)
+@pytest.mark.parametrize(
+    "quot, den",
+    [
+        (ONE + X2**2, X2 - LaurentPoly2.monomial(-1, 0)),  # a signed Laurent divisor
+        (ONE + X1 * X2, 2 * X2 + 1),  # the top row 2*x2 is no unit monomial
+        (ONE + X1 * X2, (2 * X1 + 1) * X2 + 1),  # nor is the top row (2*x1 + 1)*x2
+    ],
+    ids=["signed-laurent", "top-2x2", "top-2x1-plus-1"],
+)
+def test_exact_div_takes_the_row_loop_where_packing_does_not_apply(monkeypatch, quot, den):
+    num = quot * den
+    proved = spy_on_division(monkeypatch)
     assert num.exact_div(den) == quot
-    assert bool(calls) is multiplies
+    assert proved == [False]
+
+
+@pytest.mark.parametrize(
+    "num, den, expected",
+    [
+        # the top row x1^2 + 1 has a bit below the divisor's top slot x1
+        (X1**2 * X2 + X1 + X2, X1 * X2 + 1, ("remainder", X2)),
+        # the quotient has a negative coefficient, which a slot shows as 2**w - 1
+        (X2**2 + (X1**2 + 2) * X2 + X1**3 + 1, X2 + X1 + 1,
+         ("quotient", ONE + X2 - X1 + X1**2)),
+        # slots wide enough for max(num) * max(den) = 255 but not for
+        # max(num) * sum(den) = 257 would carry (1 + x1)(1 + 255*x1) into 1 + x1^3
+        ((1 + X1) * X2 + 1 + X1**3, X2 + 1 + 255 * X1,
+         ("remainder", X1**3 - 255 * X1**2 - 256 * X1)),
+    ],
+    ids=["bits-below-top-slot", "negative-quotient-coefficient", "carry-past-max-den"],
+)
+def test_packed_path_refuses_what_it_cannot_prove(monkeypatch, num, den, expected):
+    # each case fools packed arithmetic that drops one condition of its proof
+    proved = spy_on_division(monkeypatch)
+    for path in update_paths(monkeypatch):
+        try:
+            outcome = ("quotient", num.exact_div(den))
+        except InexactDivisionError as exc:
+            outcome = ("remainder", exc.remainder)
+        assert outcome == expected, path
+    assert proved == [False]  # the spy sees the packed path only
 
 
 def test_exact_div_by_zero():
@@ -244,8 +289,8 @@ def test_ring_axioms(p, q, r):
 def test_mul_round_trips_through_exact_div(monkeypatch, p, q):
     if not q:
         return
-    for ratio in update_paths(monkeypatch):
-        assert (p * q).exact_div(q) == p, ratio
+    for path in update_paths(monkeypatch):
+        assert (p * q).exact_div(q) == p, path
 
 
 @with_monkeypatch
@@ -254,15 +299,59 @@ def test_exact_div_succeeds_or_reports_a_true_remainder(monkeypatch, p, q):
     # either q divides p, or p - remainder is a multiple of q
     if not q:
         return
-    for ratio in update_paths(monkeypatch):
+    for path in update_paths(monkeypatch):
         try:
             quot = p.exact_div(q)
         except InexactDivisionError as exc:
             r = exc.remainder
-            assert r, ratio
+            assert r, path
             (p - r).exact_div(q)
         else:
-            assert quot * q == p, ratio
+            assert quot * q == p, path
+
+
+# nonnegative coefficients, with values at the edges of byte-wide slots and
+# past the interpreter's 4300-digit limit
+slot_edge_coeffs = st.one_of(
+    st.integers(0, 99),
+    st.builds(lambda k, d: 2 ** (8 * k) + d,
+              st.integers(1, 9), st.sampled_from((-1, 0, 1))),
+    st.builds(lambda d: 7 * 10**4400 + d, st.integers(0, 9)),
+)
+nonneg_polys = st.dictionaries(
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)), slot_edge_coeffs,
+    min_size=1, max_size=8,
+).map(poly).filter(bool)
+
+
+@st.composite
+def unit_top_divisors(draw):
+    """A nonnegative divisor whose top x2 row is one monomial with coefficient 1."""
+    d1, d2 = draw(st.integers(-6, 6)), draw(st.integers(-4, 6))
+    lower = draw(st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(-6, d2 - 1)), slot_edge_coeffs, max_size=6
+    ))
+    return poly({**lower, (d1, d2): 1})
+
+
+@given(nonneg_polys, unit_top_divisors(), st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+       st.integers(1, 2**70))
+def test_packed_path_proves_exact_quotients_and_defers_the_rest(a, b, at, v):
+    num = poly(schoolbook(a._terms, b._terms))  # cheaper than the Kronecker multiply here
+    p = num + LaurentPoly2.monomial(*at, v)
+    with pytest.MonkeyPatch.context() as mp:
+        proved = spy_on_division(mp)
+        assert num.exact_div(b) == a
+        assert proved == [True]
+    # one positive monomial more: the same quotient, or the same remainder, on both paths
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for _ in update_paths(mp):
+            try:
+                outcomes.append(("quotient", p.exact_div(b)))
+            except InexactDivisionError as exc:
+                outcomes.append(("remainder", exc.remainder))
+    assert outcomes[0] == outcomes[1]
 
 
 @given(small_polys, st.integers(0, 6))
