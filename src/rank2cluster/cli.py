@@ -3,7 +3,10 @@
 Machine-readable output goes to stdout and is byte-stable for a fixed
 invocation and seed; timings and diagnostics go to stderr.  Exit codes:
 0 success or all checks passed, 1 a cross-check, verification or internal
-invariant failed (any exception other than a usage error), 2 usage error.
+invariant failed (any exception other than a usage error), 2 usage error,
+141 stdout was closed by its reader before the output was written, as
+`| head` does (the shell's status for a writer killed by SIGPIPE); no
+error line is printed then.
 """
 from __future__ import annotations
 
@@ -456,10 +459,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader has what it wanted; point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered stays silent
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no real descriptor, or closed
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except Exception as exc:
         # the arguments were validated above, so anything else is an internal failure
         print(f"error: {exc}", file=sys.stderr)

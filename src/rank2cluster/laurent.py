@@ -21,9 +21,10 @@ coefficient 1, as for every x_k of the recurrence, each row is held as one
 int, with a w-bit slot per x1 exponent and 2**w > max(dividend) *
 sum(divisor), and each divisor term subtracts one scalar multiple of the
 quotient row from the row it lands on.  The quotient is proved, not
-assumed, and any division that does not qualify or fails the proof takes
-the plain row loop, which also reports the remainder (see
-LaurentPoly2.exact_div).
+assumed.  A division the packed rows refuse or cannot prove is plain long
+division, one quotient term at a time, which also reports the remainder;
+no step of the recurrence takes it, so today it serves tests and error
+reports only (see LaurentPoly2.exact_div).
 """
 from __future__ import annotations
 
@@ -210,16 +211,21 @@ class LaurentPoly2:
         in magnitude and that vanishes at X is zero, so self == q * other
         exactly.
 
-        Any other division, and any that fails a condition above, takes the
-        row loop: each remainder row is reduced in place by the divisor's
-        top row, leading x1 term first, into one quotient row, whose product
-        with the divisor's lower rows is then subtracted at once.  If a row
-        cannot be reduced, the remainder, self minus the partial quotient
-        times the divisor, is raised as the error's `.remainder`.  On an
-        exact division both paths give the same quotient.
+        Any other division, and any that fails a condition above, is plain
+        long division (_row_quotient; von zur Gathen and Gerhard, *Modern
+        Computer Algebra*, 2.4): the leading term of the top remaining row,
+        in (x2, x1) order, is divided by the divisor's leading term, and that
+        one quotient term times the divisor is subtracted.  No step of the
+        recurrence takes this path, so today it serves tests and error
+        reports only.  At the first leading term it cannot divide (an x2 or
+        x1 degree below the divisor's, or a coefficient its leading
+        coefficient does not divide) it stops, and the remainder, self minus
+        the partial quotient times the divisor, is raised as the error's
+        `.remainder`.  On an exact division both paths give the same
+        quotient.
         """
         other = _coerce(other)
-        if other is NotImplemented or not isinstance(other, LaurentPoly2):
+        if other is NotImplemented:
             raise TypeError("divisor must be a Laurent polynomial or integer")
         if not other._terms:
             raise ZeroDivisionError("division by zero polynomial")
@@ -360,51 +366,38 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
 
 
 def _row_quotient(num: dict, den: dict) -> dict:
-    """Row-loop quotient of LaurentPoly2.exact_div, on row maps as in
+    """Long-division quotient of LaurentPoly2.exact_div, on row maps as in
     _packed_quotient.
 
-    Works in place: den loses its top row, and whatever the loop cannot
-    divide is left in num, which is empty exactly when the division is exact.
+    Each step divides the leading x1 term of the top remaining row by the
+    divisor's leading term and subtracts that one quotient term times the
+    whole divisor from num.  The loop stops at the first leading term it
+    cannot divide, so num is left holding the remainder, which is empty
+    exactly when the division is exact; den is not changed.
     """
     quot = {}
     dq = max(den)
-    top = den.pop(dq)
-    db = max(top)
-    lb = top[db]
+    db = max(den[dq])
+    lb = den[dq][db]
     for dr in range(max(num), dq - 1, -1):
-        row = num.pop(dr, None)
-        if row is None:
-            continue
-        f = {}
-        while row:
+        while dr in num:
+            row = num[dr]
             da = max(row)
             q, r = divmod(row[da], lb)
             if da < db or r:
-                break
-            f[da - db] = q
-            for e1, v in top.items():
-                key = e1 + da - db
-                nv = row.get(key, 0) - q * v
-                if nv:
-                    row[key] = nv
-                else:
-                    del row[key]
-        for e2, drow in den.items():
-            tgt = num.setdefault(e2 + dr - dq, {})
-            for e1, v in drow.items():
-                for f1, fv in f.items():
-                    key = e1 + f1
-                    nv = tgt.get(key, 0) - fv * v
+                return quot
+            quot[da - db, dr - dq] = q
+            for e2, drow in den.items():
+                tgt = num.setdefault(e2 + dr - dq, {})
+                for e1, v in drow.items():
+                    key = e1 + da - db
+                    nv = tgt.get(key, 0) - q * v
                     if nv:
                         tgt[key] = nv
                     else:
                         del tgt[key]
-            if not tgt:
-                del num[e2 + dr - dq]
-        quot.update(((f1, dr - dq), fv) for f1, fv in f.items())
-        if row:
-            num[dr] = row
-            break
+                if not tgt:
+                    del num[e2 + dr - dq]
     return quot
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -241,6 +242,17 @@ def test_any_other_exception_exits_1(capsys, monkeypatch):
     assert "missing table row" in err
 
 
+def test_broken_pipe_without_a_descriptor_exits_141(capsys, monkeypatch):
+    # a captured stdout has no file descriptor to point at devnull
+    def closed_reader(ctx, n):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "cluster_var_formula", closed_reader)
+    code, _, err = run_cli(capsys, "expand", "--c", "2", "--n", "4", "--method", "formula")
+    assert code == 141
+    assert err == ""
+
+
 def test_verify_usage_error_exit_2(capsys):
     assert run_cli(capsys, "verify", "--c", "2", "--n-max", "2")[0] == 2
     assert run_cli(capsys, "verify", "--trials", "0")[0] == 2
@@ -306,6 +318,32 @@ def test_package_main_module():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-1\t0\t1\n-1\t2\t1\nMATCH\n"
+
+
+@pytest.mark.parametrize(
+    "argv, read_first",
+    [
+        # about 6 000 lines, more than a pipe buffer holds: the writer meets the
+        # closed pipe while `| head -1` has read one line
+        (("--c", "4", "--n", "7"), True),
+        # a few lines that wait in stdout's buffer until the reader is gone
+        (("--c", "2", "--n", "4"), False),
+    ],
+    ids=["after-one-line", "before-any-line"],
+)
+def test_stdout_closed_by_its_reader_exits_141_silently(argv, read_first):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rank2cluster", "expand", *argv, "--format", "tsv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if read_first:
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_importing_the_cli_starts_no_process_pool_machinery():

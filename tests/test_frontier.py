@@ -1,4 +1,4 @@
-"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, 20-30 s).
+"""Frontier sizes, opt-in: `pytest -m slow` (deselected by default, about 20 s).
 
 Each test runs `verify` checks beyond the default grid through the same
 `run_checks` as the CLI, so the checks of one call share one context and it
@@ -6,12 +6,12 @@ is freed when the call returns.  At these sizes the recurrence raises
 polynomials of thousands of terms to the c-th power through the Kronecker
 multiply.  Its digit blocks made two digits narrower than the bound corrupt
 the (3, 9) expansion, so the `expand` check fails even without the
-multiply's own overflow check.  The (4, 8) `expand` check takes 8-14 s of
-the total on a shared 2-core host, most of it building x_8 by the
-recurrence; the exact divisions take about 60 % of that and the powers about
-40 %.  The `coeffsum` check runs in the same call and reads the memoized
-expansion.  The substituted form needs no recurrence, and its three `v2`
-checks take about 9 s, (4, 8) about 7 s of that.
+multiply's own overflow check.  The (4, 8) `expand` check takes about 9 s
+of the total on a shared 2-core host (Python 3.11.7), most of it building
+x_8 by the recurrence; the exact divisions take about 60 % of that and the
+powers about 40 %.  The `coeffsum` check runs in the same call and reads
+the memoized expansion.  The substituted form needs no recurrence, and its
+three `v2` checks take about 7 s, (4, 8) about 5 s of that.
 """
 import pytest
 

@@ -35,7 +35,7 @@ small_polys = st.dictionaries(
 
 
 def update_paths(monkeypatch):
-    """Divide by packed rows where that path applies, then by the row loop alone;
+    """Divide by packed rows where that path applies, then by long division alone;
     yields the path's name."""
     yield "packed"
     monkeypatch.setattr(laurent, "_packed_quotient", lambda num, den: None)
@@ -308,6 +308,35 @@ def test_exact_div_succeeds_or_reports_a_true_remainder(monkeypatch, p, q):
             (p - r).exact_div(q)
         else:
             assert quot * q == p, path
+
+
+def leading(p):
+    """The leading term of p in (x2, x1) order, as ((d2, d1), coefficient)."""
+    return max(((d2, d1), v) for (d1, d2), v in p.items())
+
+
+@with_monkeypatch
+@given(small_polys, small_polys)
+def test_exact_div_stops_at_the_first_term_it_cannot_divide(monkeypatch, p, q):
+    # r = p passes the test above.  Here the remainder's leading term, in the
+    # dividend's shifted coordinates, is one the divisor's leading term cannot
+    # take: a row below the divisor's top row, an x1 degree below its leading one,
+    # or a coefficient its leading coefficient does not divide.  It is also the
+    # first such term: every term of the partial quotient leads above it.
+    if not p or not q:
+        return
+    s1p, s2p = p.min_exponents()
+    s1q, s2q = q.min_exponents()
+    (l2, l1), lb = leading(q)
+    for path in update_paths(monkeypatch):
+        try:
+            p.exact_div(q)
+        except InexactDivisionError as exc:
+            r = exc.remainder
+            (r2, r1), v = leading(r)
+            assert r2 - s2p < l2 - s2q or r1 - s1p < l1 - s1q or v % lb, path
+            partial = (p - r).exact_div(q)
+            assert all((f2 + l2, f1 + l1) > (r2, r1) for (f1, f2), _ in partial.items()), path
 
 
 # nonnegative coefficients, with values at the edges of byte-wide slots and
