@@ -18,9 +18,13 @@ parts are added with their signs.
 Exact division is a long division in rows of x2 degree.  Where both
 operands are nonnegative and the divisor's top row is one monomial with
 coefficient 1, as for every x_k of the recurrence, each row is held as one
-int, with a w-bit slot per x1 exponent and 2**w > max(dividend) *
-sum(divisor), and each divisor term subtracts one scalar multiple of the
-quotient row from the row it lands on.  The quotient is proved, not
+int with a w-bit slot per x1 exponent.  The slot is sized by the scalar
+shadow S = sum(dividend) // sum(divisor), which the coefficients of an
+exact quotient sum to: 2**w > max(max(dividend), max(divisor) * max(S, 1)).
+Each lower divisor row subtracts its multiple of the quotient row from the
+row it lands on, either as one scalar multiple per term or as one product
+by the whole packed divisor row, whichever a cost model of CPython's int
+arithmetic finds cheaper for that division.  The quotient is proved, not
 assumed.  A division the packed rows refuse or cannot prove is plain long
 division, one quotient term at a time, which also reports the remainder;
 no step of the recurrence takes it, so today it serves tests and error
@@ -40,6 +44,14 @@ from decimal import (
 from fractions import Fraction
 from math import gcd
 from operator import index
+from sys import int_info
+
+
+# CPython stores an int in digits of this many bits, and multiplies two ints
+# by schoolbook when the shorter has at most _KARATSUBA_CUTOFF digits
+# (Objects/longobject.c); _packs_divisor_rows costs its two ways with these
+_DIGIT_BITS = int_info.bits_per_digit
+_KARATSUBA_CUTOFF = 70
 
 
 class InexactDivisionError(ArithmeticError):
@@ -191,25 +203,38 @@ class LaurentPoly2:
         nonnegative and the divisor's top row is one monomial x1^db with
         coefficient 1, as for every x_k of the recurrence.  The x1 exponents
         are divided by their gcd, and each remainder row is one int with a
-        w-bit slot per x1 exponent, 2**w > max(self) * sum(other), packed
-        and unpacked through bytes.  A row r that is negative or has bits
-        below slot db ends the attempt; otherwise its quotient row is
-        q = r >> db*w, and each lower divisor term x1^e1 x2^e2 with
-        coefficient v subtracts one scalar multiple (q * v) << e1*w from the
-        row dq - e2 below r.  Each such step is linear in the row.
-        Multiplying packed quotient rows by packed divisor rows instead pads
-        every small divisor coefficient to a full slot; that was 2.25 and
-        3.25 times slower at (3, 9) and (4, 8) than the dict division before
-        it.
+        w-bit slot per x1 exponent, packed and unpacked through bytes.  The
+        slot is sized by the scalar shadow S = sum(self) // sum(other):
+        2**w > max(max(self), max(other) * max(S, 1)).  A row r that is
+        negative or has bits below slot db ends the attempt; otherwise its
+        quotient row is q = r >> db*w, and each lower divisor row subtracts
+        q times itself from the row dq - e2 below r, in one of two ways
+        chosen once per division (_packs_divisor_rows):
+        - scalar terms: each term x1^e1 x2^e2 with coefficient v subtracts
+          (q * v) << e1*w, one pass over the row per term;
+        - packed rows: the divisor row is packed with the same slots, and
+          one product q * row, shifted to its lowest term, is subtracted.
+        Packed rows pay where rows are long and dense and a slot is at most
+        a few times a divisor coefficient's width, as at c = 2: there they
+        took about 40 % less time than scalar terms on the same slots at
+        (2, 45) and (2, 60).  They do not pay where each small divisor
+        coefficient is padded to a slot 9 to 70 times its width, as at
+        c >= 3: forced on every step, they were 2.4, 3.0 and 3.6 times
+        slower at (3, 9), (5, 7) and (4, 8).  At every size measured, the
+        cost model kept each step of c >= 3 whose slot is wider than an int
+        digit on scalar terms.
 
         The packed quotient is proved, not assumed: every row below dq must
-        end at 0, and every decoded quotient coefficient must lie in
-        [0, max(self)].  Then every coefficient of self - q * other has
-        magnitude below X = 2**w, and each of its rows, read as a polynomial
+        end at 0, and the decoded quotient coefficients, which are
+        nonnegative, must sum to at most S.  Then every coefficient of
+        q * other lies in [0, max(other) * S] and every coefficient of self
+        in [0, max(self)], so every coefficient of self - q * other has
+        magnitude below X = 2**w.  Each of its rows, read as a polynomial
         with one coefficient per slot, vanishes at X by the packed
-        arithmetic.  A polynomial whose coefficients are all smaller than X
-        in magnitude and that vanishes at X is zero, so self == q * other
-        exactly.
+        arithmetic, and a polynomial whose coefficients are all smaller than
+        X in magnitude and that vanishes at X is zero, so self == q * other
+        exactly.  Both ways of subtracting compute the same ints, so they
+        give the same quotient or refuse alike.
 
         Any other division, and any that fails a condition above, is plain
         long division (_row_quotient; von zur Gathen and Gerhard, *Modern
@@ -324,26 +349,33 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
     if any(min(row.values()) < 0 for rows in (num, den) for row in rows.values()):
         return None
     g = gcd(*(e1 for rows in (num, den) for row in rows.values() for e1 in row)) or 1
-    vmax = max(max(row.values()) for row in num.values())
-    bound = vmax * sum(sum(row.values()) for row in den.values())
+    # the scalar shadow: the coefficients of an exact quotient sum to exactly this
+    shadow = sum(sum(row.values()) for row in num.values()) // sum(
+        sum(row.values()) for row in den.values()
+    )
+    bound = max(
+        max(max(row.values()) for row in num.values()),
+        max(max(row.values()) for row in den.values()) * max(shadow, 1),
+    )
     size = (bound.bit_length() + 7) // 8  # bytes per slot, so 2**w > bound
     w = 8 * size
 
     rem = [0] * (max(num) + 1)
     for e2, row in num.items():
-        buf = bytearray(size * (max(row) // g + 1))
-        for e1, v in row.items():
-            at = e1 // g * size
-            buf[at : at + size] = v.to_bytes(size, "little")
-        rem[e2] = int.from_bytes(buf, "little")
-    terms = [
-        (e2 - dq, e1 // g * w, v)
-        for e2, row in den.items() if e2 != dq
-        for e1, v in row.items()
-    ]
+        rem[e2] = _pack_row(row, g, size, 0)
+    lower = {e2 - dq: row for e2, row in den.items() if e2 != dq}
+    width = max(max(row) for row in num.values()) // g + 1
+    if _packs_divisor_rows(list(lower.values()), g, w, width):
+        terms = [
+            (e2, min(row) // g * w, _pack_row(row, g, size, min(row) // g))
+            for e2, row in lower.items()
+        ]
+    else:
+        terms = [(e2, e1 // g * w, v) for e2, row in lower.items() for e1, v in row.items()]
     low = db // g * w
     mask = (1 << low) - 1
     quot = {}
+    qsum = 0
     for dr in range(len(rem) - 1, dq - 1, -1):
         r = rem[dr]
         if not r:
@@ -357,12 +389,65 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
         for at in range(0, len(raw), size):
             v = int.from_bytes(raw[at : at + size], "little")
             if v:
-                if v > vmax:
-                    return None
+                qsum += v
                 quot[at // size * g, dr - dq] = v
+        if qsum > shadow:
+            return None
     if any(rem[:dq]):
         return None
     return quot
+
+
+def _pack_row(row: dict, g: int, size: int, lo: int) -> int:
+    """One int holding row {x1 degree: coefficient}, a size-byte slot per x1
+    degree // g, counted from slot lo."""
+    buf = bytearray(size * (max(row) // g - lo + 1))
+    for e1, v in row.items():
+        at = (e1 // g - lo) * size
+        buf[at : at + size] = v.to_bytes(size, "little")
+    return int.from_bytes(buf, "little")
+
+
+def _packs_divisor_rows(rows: list, g: int, w: int, width: int) -> bool:
+    """Whether _packed_quotient subtracts one product per packed divisor row
+    (True) or one scalar multiple per divisor term (False).
+
+    rows are the divisor's rows below its top row and w the slot width in
+    bits.  Both ways are costed in int digit operations per quotient row,
+    with every remainder and quotient row taken as long as the dividend's
+    longest row, width slots or d digits:
+    - scalar terms: per term, a product of the quotient row by the term's
+      coefficient (d times its digits), then a shift and a subtraction that
+      each rewrite a d-digit row;
+    - packed rows: per row, one product of the quotient row by the row
+      padded to a slot per x1 exponent it spans (_mul_cost), then one shift
+      and one subtraction.
+    One choice serves every row of the division.
+    """
+    d = _digits(width * w)
+    scalar = packed = 0
+    for row in rows:
+        packed += _mul_cost(d, _digits(((max(row) - min(row)) // g + 1) * w)) + 2 * d
+        scalar += sum(d * _digits(v.bit_length()) + 2 * d for v in row.values())
+    return packed < scalar
+
+
+def _digits(bits: int) -> int:
+    """Int digits that hold bits bits."""
+    return -(-bits // _DIGIT_BITS)
+
+
+def _mul_cost(a: int, b: int) -> int:
+    """Digit products CPython spends on an a-digit by b-digit int product:
+    schoolbook up to _KARATSUBA_CUTOFF digits, cut into pieces the size of
+    the shorter operand when it is at most half the longer, and otherwise
+    three products of half the size (Karatsuba)."""
+    a, b = min(a, b), max(a, b)
+    if a <= _KARATSUBA_CUTOFF:
+        return a * b
+    if 2 * a <= b:
+        return -(-b // a) * _mul_cost(a, a)
+    return 3 * _mul_cost((a + 1) // 2, (b + 1) // 2)
 
 
 def _row_quotient(num: dict, den: dict) -> dict:

@@ -29,7 +29,9 @@ def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
 
     Requires c >= 2 and n >= 1.  Every division along the way must be
     exact; an InexactDivisionError here would indicate a bug, and it is
-    re-raised naming c and the step k, with the remainder kept.
+    re-raised naming c and the step k, with the remainder kept.  Any other
+    ArithmeticError of a step, such as a failed check in the multiply, is
+    re-raised as an ArithmeticError with the same prefix.
     """
     if ctx.c < 2:
         raise ValueError(f"cluster variables require c >= 2, got c={ctx.c}")
@@ -39,12 +41,14 @@ def cluster_var_recurrence(ctx: ClusterContext, n: int) -> LaurentPoly2:
     for k in range(3, n + 1):
         try:
             xs.append(ctx.memo(("x", k), lambda: (xs[-1] ** ctx.c + ONE).exact_div(xs[-2])))
-        except InexactDivisionError as exc:
-            raise InexactDivisionError(
+        except ArithmeticError as exc:
+            message = (
                 f"recurrence step k={k} for c={ctx.c}, "
-                f"x_{k} = (x_{k - 1}^{ctx.c} + 1) / x_{k - 2}: {exc}",
-                exc.remainder,
-            ) from exc
+                f"x_{k} = (x_{k - 1}^{ctx.c} + 1) / x_{k - 2}: {exc}"
+            )
+            if isinstance(exc, InexactDivisionError):
+                raise InexactDivisionError(message, exc.remainder) from exc
+            raise ArithmeticError(message) from exc
     return xs[n]
 
 

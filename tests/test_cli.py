@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rank2cluster import cli
+from rank2cluster import cli, laurent
 from rank2cluster.cli import main
 from rank2cluster.closedform import chi_formula
 from rank2cluster.combinat import ChiTable, ClusterContext
@@ -228,6 +228,18 @@ def test_failed_internal_invariant_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "inexact quotient" in err
+
+
+def test_failed_multiply_check_names_its_step_and_exits_1(capsys, monkeypatch):
+    def overflow(p, q):
+        raise ArithmeticError("Kronecker product overflowed its 3-digit blocks")
+
+    monkeypatch.setattr(laurent, "_mul_kronecker", overflow)
+    code, out, err = run_cli(capsys, "expand", "--c", "3", "--n", "5", "--method", "recurrence")
+    assert code == 1
+    assert out == ""
+    assert "recurrence step k=3 for c=3" in err
+    assert "overflowed its 3-digit blocks" in err
 
 
 def test_any_other_exception_exits_1(capsys, monkeypatch):

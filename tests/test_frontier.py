@@ -6,12 +6,13 @@ is freed when the call returns.  At these sizes the recurrence raises
 polynomials of thousands of terms to the c-th power through the Kronecker
 multiply.  Its digit blocks made two digits narrower than the bound corrupt
 the (3, 9) expansion, so the `expand` check fails even without the
-multiply's own overflow check.  The (4, 8) `expand` check takes about 9 s
+multiply's own overflow check.  The (4, 8) `expand` check takes about 8 s
 of the total on a shared 2-core host (Python 3.11.7), most of it building
 x_8 by the recurrence; the exact divisions take about 60 % of that and the
-powers about 40 %.  The `coeffsum` check runs in the same call and reads
+powers about 40 %.  (2, 60) takes about 2 s, and its divisions subtract
+packed divisor rows.  The `coeffsum` check runs in the same call and reads
 the memoized expansion.  The substituted form needs no recurrence, and its
-three `v2` checks take about 7 s, (4, 8) about 5 s of that.
+three `v2` checks take about 6 s, (4, 8) about 5 s of that.
 """
 import pytest
 
@@ -30,8 +31,10 @@ def _run(kinds, c, n):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("c, n", FRONTIER)
+@pytest.mark.parametrize("c, n", [*FRONTIER, (2, 60)])
 def test_recurrence_equals_formula_at_frontier(c, n):
+    # (2, 60) divides by packed divisor rows, 15 steps past the deepest
+    # benchmark op (2, 45)
     _run(("expand", "coeffsum"), c, n)
 
 

@@ -144,9 +144,25 @@ def test_exact_div_packed_path_proves_every_recurrence_step(monkeypatch, c, n):
     xs = [None] + [cluster_var_recurrence(ctx, k) for k in range(1, n + 1)]
     steps = [(xs[k - 1] ** c + ONE, xs[k - 2], xs[k]) for k in range(3, n + 1)]
     proved = spy_on_division(monkeypatch)
+    choices = []
+    packs = laurent._packs_divisor_rows
+
+    def packs_spy(rows, g, w, width):
+        choices.append((w, packs(rows, g, w, width)))
+        return choices[-1][1]
+
+    monkeypatch.setattr(laurent, "_packs_divisor_rows", packs_spy)
     for num, den, quot in steps:
         assert num.exact_div(den) == quot
     assert proved == [True] * len(steps)
+    assert len(choices) == len(steps)
+    if c == 2:
+        # long rows of coefficients about half a slot wide: one product per row
+        assert all(packed for _, packed in choices[-5:])
+    else:
+        # slots many times a divisor coefficient's width: one scalar multiple per
+        # term, wherever the slot is wider than one int digit and padding costs
+        assert not any(packed for w, packed in choices if w > laurent._DIGIT_BITS)
 
 
 @pytest.mark.parametrize(
@@ -173,23 +189,36 @@ def test_exact_div_takes_the_row_loop_where_packing_does_not_apply(monkeypatch, 
         # the quotient has a negative coefficient, which a slot shows as 2**w - 1
         (X2**2 + (X1**2 + 2) * X2 + X1**3 + 1, X2 + X1 + 1,
          ("quotient", ONE + X2 - X1 + X1**2)),
-        # slots wide enough for max(num) * max(den) = 255 but not for
-        # max(num) * sum(den) = 257 would carry (1 + x1)(1 + 255*x1) into 1 + x1^3
+        # 8-bit slots hold max(den) * max(S, 1) = 255, S = 4 // 257 = 0, but the
+        # packed rows carry (1 + x1)(1 + 255*x1) into 1 + x1^3; the decoded
+        # quotient 1 + x1 sums past S
         ((1 + X1) * X2 + 1 + X1**3, X2 + 1 + 255 * X1,
          ("remainder", X1**3 - 255 * X1**2 - 256 * X1)),
+        # the same carry with x1^5 times the divisor added, so that S = 1: the
+        # decoded quotient 1 + x1 + x1^5 sums to 3
+        ((1 + X1 + X1**5) * X2 + 1 + X1**3 + X1**5 + 255 * X1**6, X2 + 1 + 255 * X1,
+         ("remainder", X1**3 - 255 * X1**2 - 256 * X1)),
+        # S = 0 and max(num) = 1: the slot is sized by max(den) = 1000 alone,
+        # and a packed divisor row must still hold it
+        (X2 + 1, X2 + 1000 * X1, ("remainder", 1 - 1000 * X1)),
     ],
-    ids=["bits-below-top-slot", "negative-quotient-coefficient", "carry-past-max-den"],
+    ids=["bits-below-top-slot", "negative-quotient-coefficient", "carry-past-max-den",
+         "quotient-sum-past-shadow", "divisor-wider-than-dividend"],
 )
 def test_packed_path_refuses_what_it_cannot_prove(monkeypatch, num, den, expected):
-    # each case fools packed arithmetic that drops one condition of its proof
+    # each case fools packed arithmetic that drops one condition of its proof;
+    # the packed path refuses it with packed divisor rows and with scalar terms
     proved = spy_on_division(monkeypatch)
-    for path in update_paths(monkeypatch):
-        try:
-            outcome = ("quotient", num.exact_div(den))
-        except InexactDivisionError as exc:
-            outcome = ("remainder", exc.remainder)
-        assert outcome == expected, path
-    assert proved == [False]  # the spy sees the packed path only
+    for packs in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laurent, "_packs_divisor_rows", lambda *args: packs)
+            for path in update_paths(mp):
+                try:
+                    outcome = ("quotient", num.exact_div(den))
+                except InexactDivisionError as exc:
+                    outcome = ("remainder", exc.remainder)
+                assert outcome == expected, (packs, path)
+    assert proved == [False, False]  # the spy sees the packed path only
 
 
 def test_exact_div_by_zero():
@@ -381,6 +410,58 @@ def test_packed_path_proves_exact_quotients_and_defers_the_rest(a, b, at, v):
             except InexactDivisionError as exc:
                 outcomes.append(("remainder", exc.remainder))
     assert outcomes[0] == outcomes[1]
+
+
+# near the edges of byte-wide slots, where a product's carry reaches the next slot
+near_slot_coeffs = st.one_of(
+    st.integers(1, 3),
+    st.builds(lambda k, d: 2 ** (8 * k) + d, st.integers(1, 5), st.sampled_from((-1, 0, 1))),
+)
+
+
+@st.composite
+def dense_rows(draw, rows):
+    """Term map of long rows of consecutive x1 exponents, one per x2 degree in rows."""
+    terms = {}
+    for e2 in rows:
+        lo, length = draw(st.integers(0, 3)), draw(st.integers(1, 12))
+        for e1 in range(lo, lo + length):
+            terms[e1, e2] = draw(near_slot_coeffs)
+    return terms
+
+
+def row_maps(terms):
+    """{x2 degree: {x1 degree: coefficient}}, shifted as exact_div shifts."""
+    s1 = min(d1 for d1, _ in terms)
+    s2 = min(d2 for _, d2 in terms)
+    rows = {}
+    for (d1, d2), v in terms.items():
+        rows.setdefault(d2 - s2, {})[d1 - s1] = v
+    return rows
+
+
+@given(st.integers(1, 4).flatmap(lambda k: dense_rows(range(k))),
+       st.integers(1, 4).flatmap(lambda k: dense_rows(range(k))),
+       st.integers(0, 3), st.tuples(st.integers(0, 20), st.integers(0, 8)), near_slot_coeffs)
+@settings(max_examples=150, deadline=None)
+def test_packed_divisor_rows_and_scalar_terms_agree(a, lower, top, at, v):
+    # the divisor's top row is x1^top with coefficient 1, one x2 degree above its
+    # dense lower rows; exact, and one monomial off, both ways of subtracting the
+    # divisor find the same quotient or refuse alike
+    den = {**lower, (top, max(d2 for _, d2 in lower) + 1): 1}
+    num = schoolbook(a, den)
+    off = dict(num)
+    off[at] = off.get(at, 0) + v
+    for terms, exact in ((num, True), (off, False)):
+        outcomes = []
+        for packs in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(laurent, "_packs_divisor_rows", lambda *args: packs)
+                outcomes.append(laurent._packed_quotient(row_maps(terms), row_maps(den)))
+        assert outcomes[0] == outcomes[1]
+        if exact:
+            s1, s2 = poly(a).min_exponents()
+            assert outcomes[0] == {(d1 - s1, d2 - s2): u for (d1, d2), u in a.items()}
 
 
 @given(small_polys, st.integers(0, 6))

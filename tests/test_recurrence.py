@@ -3,6 +3,7 @@ import threading
 
 import pytest
 
+from rank2cluster import laurent
 from rank2cluster.combinat import ClusterContext
 from rank2cluster.laurent import ONE, InexactDivisionError, LaurentPoly2
 from rank2cluster.recurrence import (
@@ -140,6 +141,24 @@ def test_inexact_step_names_c_and_k():
     assert "step k=5 for c=11" in str(exc.value)
     assert exc.value.remainder  # nonzero, kept from the division
     assert exc.value.remainder is exc.value.__cause__.remainder
+
+
+def test_failed_multiply_check_names_c_and_k(monkeypatch):
+    # the multiply's own overflow check fails inside the power of step k=4
+    mul = laurent._mul_kronecker
+
+    def overflow_at_x3_squared(p, q):
+        if p is q and len(p) == 2:  # x_3 = (x2^2 + 1) / x1 squared
+            raise ArithmeticError("Kronecker product overflowed its 3-digit blocks")
+        return mul(p, q)
+
+    monkeypatch.setattr(laurent, "_mul_kronecker", overflow_at_x3_squared)
+    with pytest.raises(ArithmeticError) as exc:
+        cluster_var_recurrence(ClusterContext(2), 5)
+    assert not isinstance(exc.value, InexactDivisionError)
+    assert "recurrence step k=4 for c=2" in str(exc.value)
+    assert "overflowed its 3-digit blocks" in str(exc.value)
+    assert type(exc.value.__cause__) is ArithmeticError
 
 
 @pytest.mark.parametrize(
