@@ -4,9 +4,13 @@ Values are immutable once constructed, stored as a map from exponent pairs
 (d1, d2) to nonzero integer coefficients.  All arithmetic is exact; there
 is no floating point anywhere.
 
+Products and quotients both work on the operands' gcd-compressed exponent
+lattice, found by one helper (_lattice): each exponent less the operand's
+least one, divided by the gcd of all such differences in both operands.
+
 Every product goes through one Kronecker substitution: each operand is
 written as a single decimal number, one fixed-width digit block per cell of
-its gcd-compressed exponent lattice, and the two numbers are multiplied
+the compressed lattice, and the two numbers are multiplied
 once by the stdlib `decimal` module, whose libmpdec core uses a
 number-theoretic transform at large sizes (Harvey, arXiv:0712.4046).  The
 multiply runs in a private `decimal.Context` with maximal precision that
@@ -18,13 +22,13 @@ parts are added with their signs.
 Exact division is a long division in rows of x2 degree.  Where both
 operands are nonnegative and the divisor's top row is one monomial with
 coefficient 1, as for every x_k of the recurrence, each row is held as one
-int with a w-bit slot per x1 exponent.  The slot is sized by the scalar
-shadow S = sum(dividend) // sum(divisor), which the coefficients of an
-exact quotient sum to: 2**w > max(max(dividend), max(divisor) * max(S, 1)).
+int with a w-bit slot per compressed x1 exponent.  The slot is sized by the
+scalar shadow S = sum(dividend) // sum(divisor), which the coefficients of
+an exact quotient sum to: 2**w > max(max(dividend), max(divisor) * max(S, 1)).
 Each lower divisor row subtracts its multiple of the quotient row from the
 row it lands on, either as one scalar multiple per term or as one product
-by the whole packed divisor row, whichever a cost model of CPython's int
-arithmetic finds cheaper for that division.  The quotient is proved, not
+by the whole packed divisor row, whichever costs fewer int digit
+operations on those ints for that division.  The quotient is proved, not
 assumed.  A division the packed rows refuse or cannot prove is plain long
 division, one quotient term at a time, which also reports the remainder;
 no step of the recurrence takes it, so today it serves tests and error
@@ -195,15 +199,21 @@ class LaurentPoly2:
     def exact_div(self, other: "LaurentPoly2") -> "LaurentPoly2":
         """Quotient q with q * other == self, or InexactDivisionError.
 
-        Both operands are shifted by monomials into ordinary polynomials and
-        split once into rows by x2 degree.  Two paths divide them, both from
-        the top row down to the divisor's top row dq.
+        Both operands are shifted by monomials into ordinary polynomials on
+        the compressed lattice of the product (_lattice): x1 and x2
+        exponents are divided by the gcds g1 and g2 of both operands'
+        exponents above their least ones.  An exact quotient lies on that
+        lattice too, and long division only subtracts lattice multiples, so
+        the compressed quotient and remainder are the plain ones with their
+        exponents divided by g1 and g2; only the rows get shorter.  The
+        operands are split once into rows by x2 degree, and two paths divide
+        them, both from the top row down to the divisor's top row dq.
 
         *Packed rows* (_packed_quotient) apply when every coefficient is
         nonnegative and the divisor's top row is one monomial x1^db with
-        coefficient 1, as for every x_k of the recurrence.  The x1 exponents
-        are divided by their gcd, and each remainder row is one int with a
-        w-bit slot per x1 exponent, packed and unpacked through bytes.  The
+        coefficient 1, as for every x_k of the recurrence.  Each remainder
+        row is one int with a w-bit slot per x1 exponent, packed and
+        unpacked through bytes.  The
         slot is sized by the scalar shadow S = sum(self) // sum(other):
         2**w > max(max(self), max(other) * max(S, 1)).  A row r that is
         negative or has bits below slot db ends the attempt; otherwise its
@@ -215,14 +225,9 @@ class LaurentPoly2:
         - packed rows: the divisor row is packed with the same slots, and
           one product q * row, shifted to its lowest term, is subtracted.
         Packed rows pay where rows are long and dense and a slot is at most
-        a few times a divisor coefficient's width, as at c = 2: there they
-        took about 40 % less time than scalar terms on the same slots at
-        (2, 45) and (2, 60).  They do not pay where each small divisor
-        coefficient is padded to a slot 9 to 70 times its width, as at
-        c >= 3: forced on every step, they were 2.4, 3.0 and 3.6 times
-        slower at (3, 9), (5, 7) and (4, 8).  At every size measured, the
-        cost model kept each step of c >= 3 whose slot is wider than an int
-        digit on scalar terms.
+        a few times a divisor coefficient's width, as at c = 2.  Scalar terms
+        pay where each small divisor coefficient would be padded to a slot
+        many times its width, as on the large steps of c >= 3.
 
         The packed quotient is proved, not assumed: every row below dq must
         end at 0, and the decoded quotient coefficients, which are
@@ -258,24 +263,23 @@ class LaurentPoly2:
             return LaurentPoly2.zero()
 
         # the shift keeps exponents small cached ints; raw ones ran 10-20 % slower
-        s1p, s2p = self.min_exponents()
-        s1q, s2q = other.min_exponents()
+        (s1p, s2p), (s1q, s2q), g1, g2 = _lattice(self._terms, other._terms)
         num: dict[int, dict[int, int]] = {}
         for (d1, d2), v in self._terms.items():
-            num.setdefault(d2 - s2p, {})[d1 - s1p] = v
+            num.setdefault((d2 - s2p) // g2, {})[(d1 - s1p) // g1] = v
         den: dict[int, dict[int, int]] = {}
         for (d1, d2), v in other._terms.items():
-            den.setdefault(d2 - s2q, {})[d1 - s1q] = v
+            den.setdefault((d2 - s2q) // g2, {})[(d1 - s1q) // g1] = v
         quot = _packed_quotient(num, den)
         if quot is None:
             quot = _row_quotient(num, den)
             if num:
-                left = {
-                    (e1 + s1p, e2 + s2p): v for e2, row in num.items() for e1, v in row.items()
-                }
+                left = {(e1 * g1 + s1p, e2 * g2 + s2p): v
+                        for e2, row in num.items() for e1, v in row.items()}
                 raise InexactDivisionError("inexact quotient", LaurentPoly2._raw(left))
         sh1, sh2 = s1p - s1q, s2p - s2q
-        return LaurentPoly2._raw({(f1 + sh1, f2 + sh2): v for (f1, f2), v in quot.items()})
+        return LaurentPoly2._raw({(f1 * g1 + sh1, f2 * g2 + sh2): v
+                                  for (f1, f2), v in quot.items()})
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -337,9 +341,10 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
     """Packed-row quotient of LaurentPoly2.exact_div, or None.
 
     num and den map an x2 degree to a row {x1 degree: coefficient}, shifted
-    to nonnegative exponents; the quotient is keyed the same way.  None
-    means the path does not apply or could not prove its quotient, and the
-    caller's row loop divides instead.
+    to nonnegative exponents and already divided by the operands' exponent
+    gcds, so each x1 degree is one slot; the quotient is keyed the same way.
+    None means the path does not apply or could not prove its quotient, and
+    the caller's row loop divides instead.
     """
     dq = max(den)
     top = den[dq]
@@ -348,7 +353,6 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
     (db,) = top
     if any(min(row.values()) < 0 for rows in (num, den) for row in rows.values()):
         return None
-    g = gcd(*(e1 for rows in (num, den) for row in rows.values() for e1 in row)) or 1
     # the scalar shadow: the coefficients of an exact quotient sum to exactly this
     shadow = sum(sum(row.values()) for row in num.values()) // sum(
         sum(row.values()) for row in den.values()
@@ -362,17 +366,14 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
 
     rem = [0] * (max(num) + 1)
     for e2, row in num.items():
-        rem[e2] = _pack_row(row, g, size, 0)
-    lower = {e2 - dq: row for e2, row in den.items() if e2 != dq}
-    width = max(max(row) for row in num.values()) // g + 1
-    if _packs_divisor_rows(list(lower.values()), g, w, width):
-        terms = [
-            (e2, min(row) // g * w, _pack_row(row, g, size, min(row) // g))
-            for e2, row in lower.items()
-        ]
-    else:
-        terms = [(e2, e1 // g * w, v) for e2, row in lower.items() for e1, v in row.items()]
-    low = db // g * w
+        rem[e2] = _pack_row(row, size, 0)
+    # the divisor's lower rows as (x2 offset, shift, multiplier), two ways
+    lower = [(e2 - dq, row) for e2, row in den.items() if e2 != dq]
+    terms = [(e2, e1 * w, v) for e2, row in lower for e1, v in row.items()]
+    rows = [(e2, min(row) * w, _pack_row(row, size, min(row))) for e2, row in lower]
+    if _packs_divisor_rows(rows, terms, _digits(max(rem).bit_length())):
+        terms = rows
+    low = db * w
     mask = (1 << low) - 1
     quot = {}
     qsum = 0
@@ -390,7 +391,7 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
             v = int.from_bytes(raw[at : at + size], "little")
             if v:
                 qsum += v
-                quot[at // size * g, dr - dq] = v
+                quot[at // size, dr - dq] = v
         if qsum > shadow:
             return None
     if any(rem[:dq]):
@@ -398,37 +399,29 @@ def _packed_quotient(num: dict, den: dict) -> dict | None:
     return quot
 
 
-def _pack_row(row: dict, g: int, size: int, lo: int) -> int:
+def _pack_row(row: dict, size: int, lo: int) -> int:
     """One int holding row {x1 degree: coefficient}, a size-byte slot per x1
-    degree // g, counted from slot lo."""
-    buf = bytearray(size * (max(row) // g - lo + 1))
+    degree, counted from degree lo."""
+    buf = bytearray(size * (max(row) - lo + 1))
     for e1, v in row.items():
-        at = (e1 // g - lo) * size
+        at = (e1 - lo) * size
         buf[at : at + size] = v.to_bytes(size, "little")
     return int.from_bytes(buf, "little")
 
 
-def _packs_divisor_rows(rows: list, g: int, w: int, width: int) -> bool:
-    """Whether _packed_quotient subtracts one product per packed divisor row
-    (True) or one scalar multiple per divisor term (False).
+def _packs_divisor_rows(rows: list, terms: list, d: int) -> bool:
+    """Whether _packed_quotient subtracts the divisor's lower rows as rows,
+    one packed int each (True), or as terms, one scalar each (False).
 
-    rows are the divisor's rows below its top row and w the slot width in
-    bits.  Both ways are costed in int digit operations per quotient row,
-    with every remainder and quotient row taken as long as the dividend's
-    longest row, width slots or d digits:
-    - scalar terms: per term, a product of the quotient row by the term's
-      coefficient (d times its digits), then a shift and a subtraction that
-      each rewrite a d-digit row;
-    - packed rows: per row, one product of the quotient row by the row
-      padded to a slot per x1 exponent it spans (_mul_cost), then one shift
-      and one subtraction.
-    One choice serves every row of the division.
+    Both layouts are lists of (x2 offset, shift, v), and each entry costs
+    the int digit operations of q * v << shift subtracted from a row: one
+    product of a d-digit quotient row by v (_mul_cost), then a shift and a
+    subtraction that each rewrite d digits.  d is the longest remainder row,
+    which no quotient row exceeds.  One choice serves every row of the
+    division.
     """
-    d = _digits(width * w)
-    scalar = packed = 0
-    for row in rows:
-        packed += _mul_cost(d, _digits(((max(row) - min(row)) // g + 1) * w)) + 2 * d
-        scalar += sum(d * _digits(v.bit_length()) + 2 * d for v in row.values())
+    packed, scalar = (sum(_mul_cost(d, _digits(v.bit_length())) + 2 * d for *_, v in layout)
+                      for layout in (rows, terms))
     return packed < scalar
 
 
@@ -486,6 +479,18 @@ def _row_quotient(num: dict, den: dict) -> dict:
     return quot
 
 
+def _lattice(p: dict, q: dict) -> tuple:
+    """((p1lo, p2lo), (q1lo, q2lo), g1, g2) for nonempty term maps p and q:
+    each map's least x1 and x2 exponents, and the gcds g1 and g2 of all
+    exponents above them (1 where there are none).  Every term of p lies at
+    (p1lo + i*g1, p2lo + j*g2), and of q likewise, so both operands of a
+    product or a division can be written on the one compressed lattice."""
+    lo = [(min(d1 for d1, _ in m), min(d2 for _, d2 in m)) for m in (p, q)]
+    g1 = gcd(*{d1 - lo1 for m, (lo1, _) in zip((p, q), lo) for d1, _ in m})
+    g2 = gcd(*{d2 - lo2 for m, (_, lo2) in zip((p, q), lo) for _, d2 in m})
+    return lo[0], lo[1], g1 or 1, g2 or 1
+
+
 def _mul_terms(p: dict, q: dict) -> dict:
     if not p or not q:
         return {}
@@ -517,19 +522,7 @@ def _mul_kronecker(p: dict, q: dict) -> dict:
     carries into the next block; the multiply traps Inexact and Rounded, so
     a precision shortfall raises instead of rounding.
     """
-    p1lo = min(d1 for d1, _ in p)
-    p2lo = min(d2 for _, d2 in p)
-    q1lo = min(d1 for d1, _ in q)
-    q2lo = min(d2 for _, d2 in q)
-    g1 = g2 = 0
-    for d1, d2 in p:
-        g1 = gcd(g1, d1 - p1lo)
-        g2 = gcd(g2, d2 - p2lo)
-    for d1, d2 in q:
-        g1 = gcd(g1, d1 - q1lo)
-        g2 = gcd(g2, d2 - q2lo)
-    g1 = g1 or 1
-    g2 = g2 or 1
+    (p1lo, p2lo), (q1lo, q2lo), g1, g2 = _lattice(p, q)
     pwidth = max(d2 - p2lo for _, d2 in p) // g2
     qwidth = max(d2 - q2lo for _, d2 in q) // g2
     width = pwidth + qwidth + 1

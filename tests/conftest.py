@@ -7,3 +7,5 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repeatable")
+
+pytest_plugins = ["pytester"]

@@ -26,6 +26,17 @@ from rank2cluster.laurent import (
 )
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env():
+    """This process's environment with src first on PYTHONPATH, so that a child
+    interpreter imports the package under test without an install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -315,6 +326,7 @@ def test_module_entry_point():
          "--method", "formula", "--format", "tsv"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     rows = [line.split("\t") for line in proc.stdout.splitlines()]
@@ -327,6 +339,7 @@ def test_package_main_module():
          "--format", "tsv"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "-1\t0\t1\n-1\t2\t1\nMATCH\n"
@@ -344,7 +357,8 @@ def test_package_main_module():
     ids=["after-one-line", "before-any-line"],
 )
 def test_stdout_closed_by_its_reader_exits_141_silently(argv, read_first):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "rank2cluster", "expand", *argv, "--format", "tsv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -364,7 +378,9 @@ def test_importing_the_cli_starts_no_process_pool_machinery():
         "import sys; before = set(sys.modules); import rank2cluster.cli; "
         "import json; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     added = json.loads(proc.stdout)
     assert "rank2cluster.cli" in added
@@ -379,6 +395,7 @@ def test_verify_under_optimize_flag():
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

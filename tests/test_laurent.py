@@ -137,7 +137,7 @@ def spy_on_division(monkeypatch):
     return proved
 
 
-@pytest.mark.parametrize("c, n", [(2, 30), (3, 7), (4, 7), (8, 5)])
+@pytest.mark.parametrize("c, n", [(2, 30), (3, 8), (4, 7), (8, 5)])
 def test_exact_div_packed_path_proves_every_recurrence_step(monkeypatch, c, n):
     # x_k = (x_{k-1}^c + 1) / x_{k-2}; the products are built before the spies
     ctx = ClusterContext(c)
@@ -147,9 +147,9 @@ def test_exact_div_packed_path_proves_every_recurrence_step(monkeypatch, c, n):
     choices = []
     packs = laurent._packs_divisor_rows
 
-    def packs_spy(rows, g, w, width):
-        choices.append((w, packs(rows, g, w, width)))
-        return choices[-1][1]
+    def packs_spy(rows, terms, d):
+        choices.append(packs(rows, terms, d))
+        return choices[-1]
 
     monkeypatch.setattr(laurent, "_packs_divisor_rows", packs_spy)
     for num, den, quot in steps:
@@ -158,11 +158,11 @@ def test_exact_div_packed_path_proves_every_recurrence_step(monkeypatch, c, n):
     assert len(choices) == len(steps)
     if c == 2:
         # long rows of coefficients about half a slot wide: one product per row
-        assert all(packed for _, packed in choices[-5:])
+        assert all(choices[-5:])
     else:
-        # slots many times a divisor coefficient's width: one scalar multiple per
-        # term, wherever the slot is wider than one int digit and padding costs
-        assert not any(packed for w, packed in choices if w > laurent._DIGIT_BITS)
+        # the last step's slots are many times a divisor coefficient's width, so
+        # padding each coefficient to a slot costs more than a product per term saves
+        assert not choices[-1]
 
 
 @pytest.mark.parametrize(
@@ -337,6 +337,30 @@ def test_exact_div_succeeds_or_reports_a_true_remainder(monkeypatch, p, q):
             (p - r).exact_div(q)
         else:
             assert quot * q == p, path
+
+
+@with_monkeypatch
+@given(small_polys, small_polys, st.integers(1, 4), st.integers(1, 4))
+def test_products_and_quotients_commute_with_substitution(monkeypatch, p, q, a, b):
+    # sigma: x1 -> x1^a, x2 -> x2^b spreads both operands over a coarser exponent
+    # lattice, which the multiply and both divisions compress away and restore
+    def sigma(f):
+        return poly({(d1 * a, d2 * b): v for (d1, d2), v in f.items()})
+
+    assert sigma(p) * sigma(q) == sigma(p * q)
+    if not q:
+        return
+    for path in update_paths(monkeypatch):
+        for num in (p, p * q):
+            try:
+                expected = ("quotient", sigma(num.exact_div(q)))
+            except InexactDivisionError as exc:
+                expected = ("remainder", sigma(exc.remainder))
+            try:
+                outcome = ("quotient", sigma(num).exact_div(sigma(q)))
+            except InexactDivisionError as exc:
+                outcome = ("remainder", exc.remainder)
+            assert outcome == expected, path
 
 
 def leading(p):
