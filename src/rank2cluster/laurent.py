@@ -178,21 +178,17 @@ class LaurentPoly2:
     def __pow__(self, k: int) -> "LaurentPoly2":
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        if not k:
-            return LaurentPoly2.constant(1)
-        base = self._terms
-        while not k & 1:
-            base = _mul_terms(base, base)
-            k >>= 1
-        # start from the lowest set bit's power, not from a product with 1
-        result = base
-        k >>= 1
-        while k:
-            base = _mul_terms(base, base)
+        # right-to-left binary powering; the lowest set bit's power starts the
+        # product, not a product with 1
+        result, base = None, self._terms
+        while True:
             if k & 1:
-                result = _mul_terms(result, base)
+                result = base if result is None else _mul_terms(result, base)
             k >>= 1
-        return LaurentPoly2._raw(result)
+            if not k:
+                break
+            base = _mul_terms(base, base)
+        return LaurentPoly2.constant(1) if result is None else LaurentPoly2._raw(result)
 
     # -- exact division ----------------------------------------------------------
 
@@ -265,11 +261,11 @@ class LaurentPoly2:
         # the shift keeps exponents small cached ints; raw ones ran 10-20 % slower
         (s1p, s2p), (s1q, s2q), g1, g2 = _lattice(self._terms, other._terms)
         num: dict[int, dict[int, int]] = {}
-        for (d1, d2), v in self._terms.items():
-            num.setdefault((d2 - s2p) // g2, {})[(d1 - s1p) // g1] = v
         den: dict[int, dict[int, int]] = {}
-        for (d1, d2), v in other._terms.items():
-            den.setdefault((d2 - s2q) // g2, {})[(d1 - s1q) // g1] = v
+        for rows, terms, lo1, lo2 in ((num, self._terms, s1p, s2p),
+                                      (den, other._terms, s1q, s2q)):
+            for (d1, d2), v in terms.items():
+                rows.setdefault((d2 - lo2) // g2, {})[(d1 - lo1) // g1] = v
         quot = _packed_quotient(num, den)
         if quot is None:
             quot = _row_quotient(num, den)

@@ -62,8 +62,6 @@ def scalar_cluster_value(c: int, n: int) -> int:
         raise ValueError(f"requires c >= 2, got c={c}")
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    if n <= 2:
-        return 1
     prev, cur = 1, 1
     for _ in range(3, n + 1):
         num = cur**c + 1
@@ -90,18 +88,11 @@ def chi_from_expansion(ctx: ClusterContext, n: int) -> ChiTable:
     entries: dict[tuple[int, int], int] = {}
     for (d1, d2), kappa in poly.items():
         e1, r1 = divmod(d2 + an2, c)
-        if r1:
-            raise ExpansionStructureError(
-                f"term x1^{d1} x2^{d2} of x_{n} (c={c}): "
-                f"d2 + a_{n-2} = {d2 + an2} is not divisible by c",
-                c,
-                n,
-            )
         q2, r2 = divmod(d1 + an1, c)
-        if r2:
+        if r1 or r2:
+            lhs = f"d2 + a_{n-2} = {d2 + an2}" if r1 else f"d1 + a_{n-1} = {d1 + an1}"
             raise ExpansionStructureError(
-                f"term x1^{d1} x2^{d2} of x_{n} (c={c}): "
-                f"d1 + a_{n-1} = {d1 + an1} is not divisible by c",
+                f"term x1^{d1} x2^{d2} of x_{n} (c={c}): {lhs} is not divisible by c",
                 c,
                 n,
             )

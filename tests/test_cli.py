@@ -359,16 +359,17 @@ def test_package_main_module():
 def test_stdout_closed_by_its_reader_exits_141_silently(argv, read_first):
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen(
+    # leaving the block closes both pipes and reaps the child, also when an
+    # assertion fails, so no pipe or child outlives this test
+    with subprocess.Popen(
         [sys.executable, "-m", "rank2cluster", "expand", *argv, "--format", "tsv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    if read_first:
-        assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
+    ) as proc:
+        if read_first:
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
 
 

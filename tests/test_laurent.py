@@ -63,6 +63,35 @@ def test_pow_square_of_binomial():
     assert p**2 == poly({(0, 0): 1, (0, 2): 2, (0, 4): 1})
 
 
+@pytest.mark.parametrize(
+    "p",
+    [ONE + X1 + X2**2, poly({(1, -1): 2, (0, 1): -3, (0, 0): 1})],
+    ids=["nonnegative", "signed"],
+)
+def test_pow_squares_once_per_bit_and_multiplies_once_per_set_bit(monkeypatch, p):
+    # right-to-left binary powering: bit_length - 1 squarings, and one product
+    # for each set bit above the lowest, whose power starts the result
+    expected = [ONE]
+    for _ in range(9):
+        expected.append(expected[-1] * p)
+    mul = laurent._mul_terms
+    calls = []
+
+    def spy(a, b):
+        calls.append(a is b)
+        return mul(a, b)
+
+    monkeypatch.setattr(laurent, "_mul_terms", spy)
+    for k, power in enumerate(expected):
+        calls.clear()
+        assert p**k == power, k
+        if k:
+            assert len(calls) == k.bit_length() + bin(k).count("1") - 2, k
+            assert sum(calls) == k.bit_length() - 1, k
+        else:
+            assert calls == []
+
+
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         X1 ** (-1)
@@ -280,10 +309,11 @@ def test_rsub_of_a_float_names_the_subtraction():
     [
         (lambda p: p.exact_div(1.5), TypeError),
         (lambda p: p + 1.5, TypeError),
+        (lambda p: p - 1.5, TypeError),
         (lambda p: p * 1.5, TypeError),
         (lambda p: LaurentPoly2.zero().min_exponents(), ValueError),
     ],
-    ids=["exact_div-float", "add-float", "mul-float", "min_exponents-zero"],
+    ids=["exact_div-float", "add-float", "sub-float", "mul-float", "min_exponents-zero"],
 )
 def test_invalid_operands_rejected(op, exc):
     with pytest.raises(exc):
