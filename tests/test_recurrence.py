@@ -166,10 +166,10 @@ def test_failed_multiply_check_names_c_and_k(monkeypatch):
     [
         ({(-1, 1): 1}, None, None, "d2 + a_1 = 1 is not divisible"),
         ({(0, 0): 1}, None, None, "d1 + a_2 = 1 is not divisible"),
-        # fails both congruences; the d2 one is reported
-        ({(0, 1): 1}, None, None, "d2 + a_1 = 1 is not divisible"),
         ({(-1, 26): 1}, 2, 0, "cell (2, 0) outside the dimension box (1, 0)"),
         ({(-1, 0): 1}, 0, 0, "corner cells of the table must equal 1"),
+        # fails both congruences; the d2 one is reported
+        ({(0, 1): 1}, None, None, "d2 + a_1 = 1 is not divisible"),
     ],
 )
 def test_structure_error_names_c_n_and_cell(extra, e1, e2, words):
