@@ -18,7 +18,10 @@ and e1 - s_{n-3}.  So one table (_rows) holds, for each e2, the
 middle-weighted class sum A per s_{n-3} value; the cell values
 (chi_formula) and the expansion (cluster_var_formula) are read from it,
 the expansion by scattering each e2 row along one trailing row, cut at
-e1 <= floor(e2*a_{n-1}/a_{n-2}) by the support inequality.
+e1 <= floor(e2*a_{n-1}/a_{n-2}) by the support inequality.  The trailing
+factor C(t, k), t = c*e2 - a_{n-3}, depends on t alone, so the cell values
+read it from one table per t kept in the context, which every cell, n and
+check with that t shares; each C(t, k) is computed once per context.
 
 The second builder (cluster_var_formula_v2) reads neither: it stays in the
 substituted entries t_{n-3}, t_{n-2} and their extended partial sums, with
@@ -170,23 +173,35 @@ def _chi_terms(ctx: ClusterContext, n: int, e1: int, e2: int) -> Iterator[int]:
 
     Each is A*C(t, e1 - s_last) for a (s_last, A) pair of the e2 row of
     _rows, with t = c*e2 - a_{n-3}; any c >= 1.  The pairs are visited in
-    descending s_last, so the trailing binomial is computed once and then
-    stepped up in its lower index.
+    descending s_last, so k = e1 - s_last only grows.  Each C(t, k) is read
+    from the context's table of trailing binomials for t, ("binom", t),
+    which every cell with that t shares, whatever its e1 or n.  A missing
+    value is seeded by mod_binom when the cell has read no value before it,
+    and otherwise stepped up from the cell's last value; every value
+    computed is stored.  The table is fetched at the cell's first term, so
+    a cell with none adds nothing to the context.
     """
     an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
     if e2 * an1 - e1 * an2 < 0:
         return
     t = ctx.c * e2 - ctx.a(n - 3)
-    j = -1
+    j = -1  # the lower index of the cell's last value b = C(t, j)
     for s_last, weight in reversed(_rows(ctx, n).get(e2, ())):
         k = e1 - s_last
         if k < 0:
             continue
         if j < 0:
-            j, b = k, mod_binom(t, t - k)
-        while j < k and b:
-            b = _binom_step(b, t, j)
-            j += 1
+            binoms = ctx.memo(("binom", t), dict)
+        b_k = binoms.get(k)
+        if b_k is not None:
+            b = b_k
+        elif j < 0:
+            b = binoms[k] = mod_binom(t, t - k)
+        else:
+            while j < k and b:
+                b = binoms[j + 1] = _binom_step(b, t, j)
+                j += 1
+        j = k
         if not b:
             return  # C(t, k) = 0 only when 0 <= t < k, and k only grows
         yield weight * b

@@ -60,6 +60,9 @@ class ClusterContext:
 
         build runs outside the lock, so concurrent callers may each build one
         key; the first value stored wins, and every caller gets that value.
+        A value may be a dict that its readers go on filling after it is
+        stored (the closed form's binomials C(t, k) per t); they store exact
+        values only, so concurrent fills of one entry store equal values.
         """
         if key in self._derived:
             return self._derived[key]

@@ -6,7 +6,9 @@ from collections import defaultdict
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from rank2cluster import closedform
 from rank2cluster.closedform import (
     _binom_row,
     _binom_step,
@@ -343,6 +345,32 @@ class TestChiFormula:
                     assert all(t >= 0 for t in terms)
                     assert chi_formula(ctx, n, e1, e2) >= 0
 
+    def test_context_computes_each_trailing_binomial_once(self, monkeypatch):
+        # the cells of one e2 row share t = c*e2 - a_{n-3}, so the context's
+        # table of C(t, k) seeds fewer binomials than the table has cells,
+        # and a second build on the same context reads every one of them
+        c, n = 4, 7
+        calls = {"mod_binom": 0, "_binom_step": 0}
+        for name in calls:
+            def spy(*args, name=name, real=getattr(closedform, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(closedform, name, spy)
+        ctx = ClusterContext(c)
+        table = chi_table_from_formula(ctx, n)
+        assert 0 < calls["mod_binom"] < len(table.entries)
+        calls.update(mod_binom=0, _binom_step=0)
+        assert chi_table_from_formula(ctx, n) == table
+        assert calls == {"mod_binom": 0, "_binom_step": 0}
+        an1, an2 = table.dim_vector
+        cells = {}
+        for e1 in range(an1 + 1):
+            for e2 in range(an2 + 1):
+                v = chi_formula(ClusterContext(c), n, e1, e2)
+                if v:
+                    cells[(e1, e2)] = v
+        assert table.entries == cells
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             chi_formula(ClusterContext(1), 4, 0, 0)
@@ -350,6 +378,52 @@ class TestChiFormula:
             chi_formula(ClusterContext(2), 2, 0, 0)
         with pytest.raises(ValueError):
             chi_table_from_formula(ClusterContext(2), 2)
+
+
+@st.composite
+def shared_context_queries(draw):
+    """(c, queries): cells of n = 3..7 in a random order, each asked for its
+    value or its summands.  The cells lie on one or two trailing tops t,
+    each shared by rows (n, e2) of at least two n, so rows of different
+    widths fill one binomial table.  Cells leave the box on every side, and
+    the tops run from negative to past a_{n-3}."""
+    c = draw(st.integers(2, 5))
+    ctx = ClusterContext(c)
+    by_top = defaultdict(list)
+    for n in range(3, 8):
+        for e2 in range(-2, ctx.a(n - 2) + 3):
+            by_top[c * e2 - ctx.a(n - 3)].append((n, e2))
+    shared = sorted(t for t, rows in by_top.items() if len(rows) > 1)
+    tops = draw(st.lists(st.sampled_from(shared), min_size=1, max_size=2))
+    rows = [row for t in tops for row in by_top[t]]
+    # small e1 often, where the lower indices k = e1 - s_{n-3} of two n overlap
+    cell = st.sampled_from(rows).flatmap(lambda row: st.tuples(
+        st.just(row[0]),
+        st.one_of(st.integers(-3, 12), st.integers(-3, ctx.a(row[0] - 1) + 3)),
+        st.just(row[1])))
+    queries = draw(st.lists(st.tuples(cell, st.booleans()), min_size=1, max_size=40))
+    return c, queries
+
+
+@given(shared_context_queries())
+# t = c: the (4, 1, 1) cell stores C(c, 1) alone; the wider (6, 2, 2) cell
+# seeds C(c, 0), reads C(c, 1) and must step to C(c, 2) from the value it
+# read, not from the index of the last value it computed itself
+@example((3, [((4, 1, 1), False), ((6, 2, 2), False)]))
+@example((5, [((4, 1, 1), True), ((6, 3, 2), True)]))
+@settings(max_examples=100)
+def test_cells_on_a_shared_context_equal_fresh_ones(case):
+    # whichever cells filled a binomial table before, at whichever n, and
+    # whether a cell reads it through chi_formula or chi_formula_summands,
+    # each cell gets the values it gets on a context of its own
+    c, queries = case
+    ctx = ClusterContext(c)
+    for (n, e1, e2), as_summands in queries:
+        want = list(chi_formula_summands(ClusterContext(c), n, e1, e2))
+        if as_summands:
+            assert list(chi_formula_summands(ctx, n, e1, e2)) == want
+        else:
+            assert chi_formula(ctx, n, e1, e2) == sum(want)
 
 
 class TestClusterVarFormula:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rank2cluster.closedform import chi_formula
+from rank2cluster.closedform import chi_formula, cluster_var_formula, cluster_var_formula_v2
 from rank2cluster.combinat import ClusterContext, mod_binom
 from rank2cluster import identities
 from rank2cluster.identities import (
@@ -237,6 +237,30 @@ class TestStagedSums:
     def test_c1_large_index_rejected(self):
         with pytest.raises(ValueError):
             staged_chi_sum(ClusterContext(1), 6, 0, 0, -1)
+
+    @pytest.mark.parametrize("c, n", [(2, 7), (3, 6)])
+    def test_stages_and_guards_read_no_binomial_table(self, c, n):
+        # the cell value keeps its trailing binomials C(t, k) in the context;
+        # the invariance check compares it with stages that must compute
+        # their own, so the stages below n-4, both expansions and the
+        # vanishing guard leave no ("binom", t) table behind
+        ctx = ClusterContext(c)
+        an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
+        for e1 in range(-1, an1 + 2):
+            for e2 in range(-1, an2 + 2):
+                for stage in range(-1, n - 4):
+                    staged_chi_sum(ctx, n, e1, e2, stage)
+                if e2 * an1 - e1 * an2 < 0:
+                    assert vanishing_check(ctx, n, e1, e2)
+        cluster_var_formula(ctx, n)
+        cluster_var_formula_v2(ctx, n)
+
+        def tables():
+            return [key for key in ctx._derived if key[0] == "binom"]
+
+        assert not tables()
+        chi_formula(ctx, n, an1, an2)  # the corner cell reads one
+        assert tables() == [("binom", c * an2 - ctx.a(n - 3))]
 
     def test_stage_range_validated(self):
         ctx = ClusterContext(2)
