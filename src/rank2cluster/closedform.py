@@ -18,10 +18,12 @@ and e1 - s_{n-3}.  So one table (_rows) holds, for each e2, the
 middle-weighted class sum A per s_{n-3} value; the cell values
 (chi_formula) and the expansion (cluster_var_formula) are read from it,
 the expansion by scattering each e2 row along one trailing row, cut at
-e1 <= floor(e2*a_{n-1}/a_{n-2}) by the support inequality.  The trailing
-factor C(t, k), t = c*e2 - a_{n-3}, depends on t alone, so the cell values
-read it from one table per t kept in the context, which every cell, n and
-check with that t shares; each C(t, k) is computed once per context.
+e1 <= floor(e2*a_{n-1}/a_{n-2}) by the support inequality; the expansion
+is kept in the context, so it is built once per n.  The trailing factor
+C(t, k), t = c*e2 - a_{n-3}, depends on t alone, so the cell values read
+it from one table per t kept in the context, which every cell, n and check
+with that t shares; each C(t, k) is computed once per context, by one step
+from a stored C(t, k-1), or by mod_binom where the table lacks that value.
 
 The second builder (cluster_var_formula_v2) reads neither: it stays in the
 substituted entries t_{n-3}, t_{n-2} and their extended partial sums, with
@@ -176,32 +178,25 @@ def _chi_terms(ctx: ClusterContext, n: int, e1: int, e2: int) -> Iterator[int]:
     descending s_last, so k = e1 - s_last only grows.  Each C(t, k) is read
     from the context's table of trailing binomials for t, ("binom", t),
     which every cell with that t shares, whatever its e1 or n.  A missing
-    value is seeded by mod_binom when the cell has read no value before it,
-    and otherwise stepped up from the cell's last value; every value
-    computed is stored.  The table is fetched at the cell's first term, so
-    a cell with none adds nothing to the context.
+    C(t, k) is stepped once from C(t, k-1) when the table holds it, and
+    seeded by mod_binom otherwise; every value computed is stored.  The
+    table is fetched at the cell's first term, so a cell with none adds
+    nothing to the context.
     """
-    an1, an2 = ctx.a(n - 1), ctx.a(n - 2)
-    if e2 * an1 - e1 * an2 < 0:
+    if e2 * ctx.a(n - 1) - e1 * ctx.a(n - 2) < 0:
         return
     t = ctx.c * e2 - ctx.a(n - 3)
-    j = -1  # the lower index of the cell's last value b = C(t, j)
+    binoms = None
     for s_last, weight in reversed(_rows(ctx, n).get(e2, ())):
         k = e1 - s_last
         if k < 0:
             continue
-        if j < 0:
+        if binoms is None:
             binoms = ctx.memo(("binom", t), dict)
-        b_k = binoms.get(k)
-        if b_k is not None:
-            b = b_k
-        elif j < 0:
-            b = binoms[k] = mod_binom(t, t - k)
-        else:
-            while j < k and b:
-                b = binoms[j + 1] = _binom_step(b, t, j)
-                j += 1
-        j = k
+        b = binoms.get(k)
+        if b is None:
+            prev = binoms.get(k - 1)  # C(t, k-1), if stored
+            b = binoms[k] = mod_binom(t, t - k) if prev is None else _binom_step(prev, t, k - 1)
         if not b:
             return  # C(t, k) = 0 only when 0 <= t < k, and k only grows
         yield weight * b
@@ -259,24 +254,30 @@ def cluster_var_formula(ctx: ClusterContext, n: int) -> LaurentPoly2:
     Each e2 row of the grouped table scatters its (s_last, A) pairs along
     one row of trailing binomials C(t, j), t = c*e2 - a_{n-3}, into the
     cells (s_last + j, e2) up to the support inequality's bound on e1.
-    Exactly equal to the recurrence route.
+    Exactly equal to the recurrence route.  The value is built once per n
+    and kept in the context, as ("formula", n), like _rows; every later
+    call on that context returns the same object.
     """
     _require(ctx, n)
-    c = ctx.c
-    an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
-    terms: dict[tuple[int, int], int] = {}
-    for e2, row in _rows(ctx, n).items():
-        # at n = 3, a_{n-2} = 0 and e2 = s_last = 0: the trailing row's own end
-        hi = e2 * an1 // an2 if an2 else c * e2 - an3
-        binoms = _binom_row(c * e2 - an3, hi - row[0][0] + 1)
-        cells: dict[int, int] = {}
-        for s_last, weight in row:
-            for e1, b in zip(range(s_last, hi + 1), binoms):
-                cells[e1] = cells.get(e1, 0) + weight * b
-        d1 = c * (an2 - e2) - an1
-        for e1, v in cells.items():
-            terms[(d1, c * e1 - an2)] = v
-    return LaurentPoly2(terms)
+
+    def build():
+        c = ctx.c
+        an1, an2, an3 = ctx.a(n - 1), ctx.a(n - 2), ctx.a(n - 3)
+        terms: dict[tuple[int, int], int] = {}
+        for e2, row in _rows(ctx, n).items():
+            # at n = 3, a_{n-2} = 0 and e2 = s_last = 0: the trailing row's own end
+            hi = e2 * an1 // an2 if an2 else c * e2 - an3
+            binoms = _binom_row(c * e2 - an3, hi - row[0][0] + 1)
+            cells: dict[int, int] = {}
+            for s_last, weight in row:
+                for e1, b in zip(range(s_last, hi + 1), binoms):
+                    cells[e1] = cells.get(e1, 0) + weight * b
+            d1 = c * (an2 - e2) - an1
+            for e1, v in cells.items():
+                terms[(d1, c * e1 - an2)] = v
+        return LaurentPoly2(terms)
+
+    return ctx.memo(("formula", n), build)
 
 
 def cluster_var_formula_v2(ctx: ClusterContext, n: int) -> LaurentPoly2:

@@ -13,6 +13,7 @@ from rank2cluster.closedform import (
     _binom_row,
     _binom_step,
     _leaves,
+    _rows,
     chi_formula,
     chi_formula_summands,
     chi_table_from_formula,
@@ -371,6 +372,35 @@ class TestChiFormula:
                     cells[(e1, e2)] = v
         assert table.entries == cells
 
+    @pytest.mark.parametrize("c, n, stored, most_seeds", [(4, 7, 5692, 60), (5, 7, 30904, 120)])
+    def test_binomial_tables_seed_only_where_the_value_below_is_missing(
+        self, monkeypatch, c, n, stored, most_seeds
+    ):
+        # a missing C(t, k) is stepped from C(t, k-1) whenever the table holds
+        # it, and seeded by mod_binom only otherwise; so every stored entry
+        # costs exactly one seed or one step
+        ctx = ClusterContext(c)
+        _rows(ctx, n)  # its own binomial rows step too: build them first
+        seeds, steps = [], 0
+
+        def seed(a, b):
+            seeds.append((a, a - b - 1 in ctx.memo(("binom", a), dict)))
+            return mod_binom(a, b)
+
+        def step(*args):
+            nonlocal steps
+            steps += 1
+            return _binom_step(*args)
+
+        monkeypatch.setattr(closedform, "mod_binom", seed)
+        monkeypatch.setattr(closedform, "_binom_step", step)
+        chi_table_from_formula(ctx, n)
+        assert [t for t, below_stored in seeds if below_stored] == []
+        # a table's first entry is a seed, so the seeded tops name every table
+        tables = [ctx.memo(("binom", t), dict) for t in {t for t, _ in seeds}]
+        assert len(seeds) + steps == sum(map(len, tables)) == stored
+        assert len(seeds) <= most_seeds
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             chi_formula(ClusterContext(1), 4, 0, 0)
@@ -406,9 +436,9 @@ def shared_context_queries(draw):
 
 
 @given(shared_context_queries())
-# t = c: the (4, 1, 1) cell stores C(c, 1) alone; the wider (6, 2, 2) cell
-# seeds C(c, 0), reads C(c, 1) and must step to C(c, 2) from the value it
-# read, not from the index of the last value it computed itself
+# t = c: the (4, 1, 1) cell seeds C(c, 1) alone; the wider cell after it
+# seeds C(c, 0), reads C(c, 1) and steps C(c, 2) from that stored C(c, 1),
+# a value another cell computed
 @example((3, [((4, 1, 1), False), ((6, 2, 2), False)]))
 @example((5, [((4, 1, 1), True), ((6, 3, 2), True)]))
 @settings(max_examples=100)
@@ -427,6 +457,16 @@ def test_cells_on_a_shared_context_equal_fresh_ones(case):
 
 
 class TestClusterVarFormula:
+    def test_built_once_per_context(self, monkeypatch):
+        ctx = ClusterContext(3)
+        x6 = cluster_var_formula(ctx, 6)
+        assert cluster_var_formula(ClusterContext(3), 6) == x6
+        builds = []
+        monkeypatch.setattr(closedform, "_rows", lambda *args: builds.append(args))
+        monkeypatch.setattr(closedform, "LaurentPoly2", lambda *args: builds.append(args))
+        assert cluster_var_formula(ctx, 6) is x6
+        assert builds == []
+
     def test_equals_recurrence(self):
         for c, n_top in ((2, 10), (3, 7), (4, 6)):
             ctx = ClusterContext(c)
